@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet check fuzz bench bench-telemetry bench-wire bench-cache bench-tenant bench-fanout bench-obs fanout-race ledger-kill audit-kill prom-lint
+.PHONY: all build test race vet check fuzz bench bench-telemetry bench-wire bench-cache bench-tenant bench-fanout bench-obs fanout-race ledger-kill audit-kill prom-lint alloc-pins
 
 all: check
 
@@ -34,10 +34,16 @@ audit-kill:
 fanout-race:
 	$(GO) test -race -count=1 -run 'TestFanout|TestScheduler|TestServerOverload|TestServerDeadline|TestWorker' ./internal/compman
 
+# alloc-pins runs the allocation pins of the query path by name: a block
+# hand-off, the shared table view and CSV parsing must not allocate per
+# row, so an O(n) allocation regression fails here legibly.
+alloc-pins:
+	$(GO) test -count=1 -run 'Allocations' -v ./internal/core ./internal/sandbox ./internal/dataset
+
 # check is the pre-merge gate: static analysis plus the full suite under
-# the race detector, plus dedicated passes of both kill matrices and the
-# fan-out concurrency tests.
-check: vet race fanout-race ledger-kill audit-kill
+# the race detector, plus dedicated passes of both kill matrices, the
+# fan-out concurrency tests and the allocation pins.
+check: vet race fanout-race ledger-kill audit-kill alloc-pins
 
 # fuzz runs each fuzz target briefly; lengthen FUZZTIME for soak runs.
 FUZZTIME ?= 10s

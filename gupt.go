@@ -293,7 +293,7 @@ func (p *Platform) Run(ctx context.Context, q Query) (*Result, error) {
 		}
 	}
 
-	rows := reg.Private.Rows()
+	rows := reg.Private.View()
 	opts := core.Options{
 		BlockSize:    q.BlockSize,
 		Gamma:        q.Gamma,

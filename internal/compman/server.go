@@ -950,7 +950,7 @@ func (s *Server) handleQuery(req *Request, tenantID string, tr *telemetry.Trace,
 	}
 	opts.NewChamber = s.wrapChamberFactory(opts.NewChamber)
 
-	rows := reg.Private.Rows()
+	rows := reg.Private.View()
 
 	// Auto block size (paper §4.3) from the aged sample, if requested.
 	if req.AutoBlockSize && req.BlockSize == 0 {
@@ -1201,7 +1201,7 @@ func (s *Server) handleSession(req *Request, tenantID string, deadline time.Time
 	// here on reports its error in its slot while the rest of the batch
 	// still runs. Aborting the batch would waste the survivors' budget —
 	// and refunding any of it would reopen the §6.2 attack.
-	rows := reg.Private.Rows()
+	rows := reg.Private.View()
 	results := make([]SessionResult, len(members))
 	for i, m := range members {
 		res, err := s.runCharged(m.program, rows,

@@ -15,7 +15,12 @@ import (
 
 func startWorker(t *testing.T) string {
 	t.Helper()
-	w := NewWorker(WorkerConfig{})
+	return startWorkerCfg(t, WorkerConfig{})
+}
+
+func startWorkerCfg(t *testing.T, cfg WorkerConfig) string {
+	t.Helper()
+	w := NewWorker(cfg)
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

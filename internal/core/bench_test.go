@@ -36,23 +36,48 @@ func BenchmarkMakePartitionResampled(b *testing.B) {
 	}
 }
 
+// runMeanQuery is one BenchmarkRunMeanQuery iteration: a tight-mode mean
+// over rows with in-process chambers.
+func runMeanQuery(rows []mathutil.Vec, seed int64) error {
+	spec := RangeSpec{Mode: ModeTight, Output: []dp.Range{{Lo: 0, Hi: 150}}}
+	_, err := Run(context.Background(), analytics.Mean{Col: 0}, rows, spec,
+		Options{Epsilon: 1, Seed: seed})
+	return err
+}
+
 func BenchmarkRunMeanQuery(b *testing.B) {
 	rows := benchRows(30000)
-	spec := RangeSpec{Mode: ModeTight, Output: []dp.Range{{Lo: 0, Hi: 150}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(context.Background(), analytics.Mean{Col: 0}, rows, spec,
-			Options{Epsilon: 1, Seed: int64(i)}); err != nil {
+		if err := runMeanQuery(rows, int64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// TestRunMeanQueryAllocations pins BenchmarkRunMeanQuery's allocations: a
+// query over 30,000 rows in ≈66 blocks costs O(ℓ) allocations — a handful
+// per block for the view, the chamber's private slab and the goroutines —
+// not O(n). Copying each row on its own would cost over 30,000.
+func TestRunMeanQueryAllocations(t *testing.T) {
+	rows := benchRows(30000)
+	seed := int64(0)
+	allocs := testing.AllocsPerRun(3, func() {
+		seed++
+		if err := runMeanQuery(rows, seed); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1000 {
+		t.Fatalf("BenchmarkRunMeanQuery body allocates %.0f times per query, want <= 1000", allocs)
+	}
+}
+
 // TestViewAllocations pins the zero-copy hand-off contract: View performs
 // exactly one allocation (the header slice aliasing the dataset's rows),
-// regardless of block size. Materialize clones every row, so its allocation
-// count grows with the block — the cost View exists to avoid on the worker
-// wire path, where the encoder reads the row floats directly.
+// regardless of block size. Materialize gathers the block into a fresh
+// slab, one more copy the worker wire path avoids: its encoder reads the
+// row floats directly.
 func TestViewAllocations(t *testing.T) {
 	rng := mathutil.NewRNG(7)
 	rows := benchRows(10000)

@@ -85,7 +85,8 @@ func MakePartition(rng *mathutil.RNG, n, blockSize, gamma int) (*Partition, erro
 	// into ℓ contiguous chunks. This is exactly balanced (sizes differ by
 	// at most one) and can never produce an empty block — important because
 	// an empty block would be substituted by the range midpoint and bias
-	// the aggregate.
+	// the aggregate. Each block is a capped window of the one permutation,
+	// so the cut costs no per-block copy.
 	if gamma == 1 {
 		perm := rng.Perm(n)
 		blocks := make([][]int, numBlocks)
@@ -96,7 +97,7 @@ func MakePartition(rng *mathutil.RNG, n, blockSize, gamma int) (*Partition, erro
 			if b < extra {
 				size++
 			}
-			blocks[b] = append([]int(nil), perm[pos:pos+size]...)
+			blocks[b] = perm[pos : pos+size : pos+size]
 			pos += size
 		}
 		return &Partition{Blocks: blocks, BlockSize: blockSize, Gamma: 1, N: n}, nil
@@ -203,14 +204,10 @@ func (p *Partition) Sensitivity(width float64) float64 {
 	return float64(p.Gamma) * width / float64(p.NumBlocks())
 }
 
-// Materialize returns the rows of block i as copies drawn from rows.
+// Materialize returns the rows of block i as copies drawn from rows,
+// gathered into one fresh slab.
 func (p *Partition) Materialize(rows []mathutil.Vec, i int) []mathutil.Vec {
-	idx := p.Blocks[i]
-	out := make([]mathutil.Vec, len(idx))
-	for j, r := range idx {
-		out[j] = rows[r].Clone()
-	}
-	return out
+	return mathutil.Gather(p.View(rows, i))
 }
 
 // View returns the rows of block i aliasing rows directly — one slice

@@ -6,16 +6,19 @@ import (
 	"io"
 	"os"
 	"strconv"
-
-	"gupt/internal/mathutil"
 )
 
 // ReadCSV parses a table from CSV. If header is true the first record is
 // taken as column names; otherwise columns are anonymous. Every field must
 // parse as a float64.
+//
+// Fields are parsed straight into the table's slab through one reused
+// record, so no per-row object outlives its line; the slab is trimmed to
+// its exact size at the end.
 func ReadCSV(r io.Reader, header bool) (*Table, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1 // we validate rectangularity ourselves with better errors
+	cr.ReuseRecord = true
 
 	var t *Table
 	line := 0
@@ -30,26 +33,27 @@ func ReadCSV(r io.Reader, header bool) (*Table, error) {
 		line++
 		if t == nil {
 			if header {
-				t = New(rec)
+				t = New(rec) // copies the names out of the reused record
 				continue
 			}
 			t = New(nil)
 		}
-		row := make(mathutil.Vec, len(rec))
+		if err := t.checkWidth(len(rec)); err != nil {
+			return nil, fmt.Errorf("dataset: csv line %d: %w", line, err)
+		}
 		for i, f := range rec {
 			v, err := strconv.ParseFloat(f, 64)
 			if err != nil {
 				return nil, fmt.Errorf("dataset: csv line %d field %d: %w", line, i+1, err)
 			}
-			row[i] = v
+			t.data = append(t.data, v)
 		}
-		if err := t.Append(row); err != nil {
-			return nil, fmt.Errorf("dataset: csv line %d: %w", line, err)
-		}
+		t.n++
 	}
 	if t == nil {
 		return nil, fmt.Errorf("dataset: empty csv input")
 	}
+	t.fit()
 	return t, nil
 }
 
@@ -63,8 +67,8 @@ func (t *Table) WriteCSV(w io.Writer) error {
 		}
 	}
 	rec := make([]string, t.Dims())
-	for _, row := range t.rows {
-		for i, v := range row {
+	for r := 0; r < t.n; r++ {
+		for i, v := range t.row(r) {
 			rec[i] = strconv.FormatFloat(v, 'g', -1, 64)
 		}
 		if err := cw.Write(rec); err != nil {

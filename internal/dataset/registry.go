@@ -239,6 +239,12 @@ func (reg *Registry) Register(name string, t *Table, opts RegisterOptions) (*Reg
 		}
 	}
 
+	// Registered tables are built: drop their append slack so each holds
+	// exactly rows×dims values for as long as it is served.
+	private.fit()
+	if aged != nil {
+		aged.fit()
+	}
 	r := &Registered{
 		Name:       name,
 		Private:    private,

@@ -8,6 +8,7 @@ package dataset
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"gupt/internal/dp"
 	"gupt/internal/mathutil"
@@ -17,27 +18,42 @@ import (
 // table's.
 var ErrDimensionMismatch = errors.New("dataset: row dimension mismatch")
 
+// errSealed is returned by Append once the table's shared view exists.
+var errSealed = errors.New("dataset: append to a table whose view has been taken")
+
 // Table is an immutable-after-build collection of k-dimensional real-valued
 // records, the unit of data that GUPT computations run against. A table may
 // carry optional column names and per-column attribute ranges supplied by
 // the data owner.
+//
+// The records live in one row-major slab: row i is data[i*dims:(i+1)*dims].
+// There is no per-row heap object: a table of any size is a constant
+// number of them.
 type Table struct {
 	cols   []string
-	rows   []mathutil.Vec
+	dims   int        // row width: len(cols) until the first row fixes it
+	n      int        // number of rows
+	data   []float64  // n*dims values, row-major
 	ranges []dp.Range // nil if the owner supplied no attribute ranges
+
+	viewOnce sync.Once
+	view     []mathutil.Vec // built by View; set once, then only read
 }
 
 // New creates a table with the given column names. Rows are added with
 // Append. A nil or empty cols is allowed for anonymous columns once the
 // first row fixes the dimensionality.
 func New(cols []string) *Table {
-	return &Table{cols: append([]string(nil), cols...)}
+	return &Table{cols: append([]string(nil), cols...), dims: len(cols)}
 }
 
 // FromRows builds a table directly from rows, which must be non-empty and
 // rectangular. The rows are copied.
 func FromRows(cols []string, rows []mathutil.Vec) (*Table, error) {
 	t := New(cols)
+	if len(rows) > 0 {
+		t.data = make([]float64, 0, len(rows)*len(rows[0]))
+	}
 	for i, r := range rows {
 		if err := t.Append(r); err != nil {
 			return nil, fmt.Errorf("row %d: %w", i, err)
@@ -47,26 +63,69 @@ func FromRows(cols []string, rows []mathutil.Vec) (*Table, error) {
 }
 
 // Append adds a copy of row to the table. All rows must share one width,
-// and if column names were supplied the width must match them.
+// and if column names were supplied the width must match them. A table
+// whose View has been taken is sealed and refuses further rows.
 func (t *Table) Append(row mathutil.Vec) error {
-	if len(t.cols) > 0 && len(row) != len(t.cols) {
-		return fmt.Errorf("%w: row has %d values, table has %d columns", ErrDimensionMismatch, len(row), len(t.cols))
+	if err := t.checkWidth(len(row)); err != nil {
+		return err
 	}
-	if len(t.rows) > 0 && len(row) != len(t.rows[0]) {
-		return fmt.Errorf("%w: row has %d values, table rows have %d", ErrDimensionMismatch, len(row), len(t.rows[0]))
-	}
-	t.rows = append(t.rows, row.Clone())
+	t.data = append(t.data, row...)
+	t.n++
 	return nil
 }
 
+// checkWidth validates the width of the next row and, for the first row of
+// an anonymous table, fixes the table's width.
+func (t *Table) checkWidth(w int) error {
+	if t.view != nil {
+		return errSealed
+	}
+	if len(t.cols) > 0 && w != len(t.cols) {
+		return fmt.Errorf("%w: row has %d values, table has %d columns", ErrDimensionMismatch, w, len(t.cols))
+	}
+	if t.n > 0 && w != t.dims {
+		return fmt.Errorf("%w: row has %d values, table rows have %d", ErrDimensionMismatch, w, t.dims)
+	}
+	t.dims = w
+	return nil
+}
+
+// fit drops any append slack from the slab, so a built table holds exactly
+// n*dims values. A no-op on an exactly sized slab.
+func (t *Table) fit() {
+	if cap(t.data) != len(t.data) {
+		exact := make([]float64, len(t.data))
+		copy(exact, t.data)
+		t.data = exact
+	}
+}
+
+// row returns record i aliasing the slab, capped at its own width so an
+// append to it reallocates instead of overwriting record i+1.
+func (t *Table) row(i int) mathutil.Vec {
+	lo, hi := i*t.dims, (i+1)*t.dims
+	return t.data[lo:hi:hi]
+}
+
+// rowsOver returns n capped row headers over a row-major slab of width
+// dims.
+func rowsOver(data []float64, n, dims int) []mathutil.Vec {
+	out := make([]mathutil.Vec, n)
+	for i := range out {
+		lo, hi := i*dims, (i+1)*dims
+		out[i] = data[lo:hi:hi]
+	}
+	return out
+}
+
 // NumRows returns the number of records.
-func (t *Table) NumRows() int { return len(t.rows) }
+func (t *Table) NumRows() int { return t.n }
 
 // Dims returns the record dimensionality, or 0 for an empty table with no
 // declared columns.
 func (t *Table) Dims() int {
-	if len(t.rows) > 0 {
-		return len(t.rows[0])
+	if t.n > 0 {
+		return t.dims
 	}
 	return len(t.cols)
 }
@@ -75,24 +134,35 @@ func (t *Table) Dims() int {
 func (t *Table) Columns() []string { return append([]string(nil), t.cols...) }
 
 // Row returns a copy of record i.
-func (t *Table) Row(i int) mathutil.Vec { return t.rows[i].Clone() }
+func (t *Table) Row(i int) mathutil.Vec { return t.row(i).Clone() }
 
-// Rows returns a deep copy of all records. Computations receive copies so
-// an untrusted program can never mutate the registered data (part of the
-// state-attack defense).
+// Rows returns a deep copy of all records: one fresh slab with capped row
+// headers over it. The caller may mutate the copy freely.
 func (t *Table) Rows() []mathutil.Vec {
-	out := make([]mathutil.Vec, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = r.Clone()
-	}
-	return out
+	return rowsOver(append([]float64(nil), t.data...), t.n, t.dims)
+}
+
+// View returns the table's records as a shared, read-only view: row i
+// aliases the table's slab, capped at its own width. The view is built on
+// the first call and returned as-is by every later one, so the per-query
+// cost is zero allocations. It seals the table: Append fails afterwards.
+//
+// Nothing may write through the view. The engine hands it only to chambers
+// that declare sandbox.ReadOnlyChamber, which gather a private copy of each
+// block before an untrusted program sees it.
+func (t *Table) View() []mathutil.Vec {
+	t.viewOnce.Do(func() {
+		t.fit()
+		t.view = rowsOver(t.data, t.n, t.dims)
+	})
+	return t.view
 }
 
 // Column returns a copy of column j across all records.
 func (t *Table) Column(j int) []float64 {
-	out := make([]float64, len(t.rows))
-	for i, r := range t.rows {
-		out[i] = r[j]
+	out := make([]float64, t.n)
+	for i := range out {
+		out[i] = t.data[i*t.dims+j]
 	}
 	return out
 }
@@ -102,8 +172,10 @@ func (t *Table) Column(j int) []float64 {
 func (t *Table) Subset(indices []int) *Table {
 	sub := New(t.cols)
 	sub.ranges = append([]dp.Range(nil), t.ranges...)
-	for _, i := range indices {
-		sub.rows = append(sub.rows, t.rows[i].Clone())
+	sub.dims, sub.n = t.dims, len(indices)
+	sub.data = make([]float64, len(indices)*t.dims)
+	for k, i := range indices {
+		copy(sub.data[k*t.dims:], t.row(i))
 	}
 	return sub
 }
@@ -138,7 +210,7 @@ func (t *Table) Ranges() []dp.Range {
 // sample.
 func (t *Table) Split(rng *mathutil.RNG, frac float64) (*Table, *Table) {
 	frac = mathutil.Clamp(frac, 0, 1)
-	n := len(t.rows)
+	n := t.n
 	cut := int(frac * float64(n))
 	perm := rng.Perm(n)
 	return t.Subset(perm[:cut]), t.Subset(perm[cut:])

@@ -22,6 +22,26 @@ func (v Vec) Clone() Vec {
 	return out
 }
 
+// Gather deep-copies rows into one fresh contiguous slab and returns a row
+// header over it for each input row. Each returned row is capped at its own
+// length, so appending to row i reallocates instead of overwriting row i+1.
+// It allocates twice (slab and headers) however many rows there are.
+func Gather(rows []Vec) []Vec {
+	total := 0
+	for _, r := range rows {
+		total += len(r)
+	}
+	slab := make([]float64, total)
+	out := make([]Vec, len(rows))
+	off := 0
+	for i, r := range rows {
+		end := off + copy(slab[off:], r)
+		out[i] = slab[off:end:end]
+		off = end
+	}
+	return out
+}
+
 // Add returns v + w. It panics if the lengths differ; mismatched dimensions
 // are a programming error, not a data error.
 func (v Vec) Add(w Vec) Vec {

@@ -55,8 +55,10 @@ type BlockChamber interface {
 // never mutates the rows of the block it is handed (and does not retain
 // them after returning). The engine hands such chambers zero-copy views of
 // the dataset partition instead of per-block clones — the block rows flow
-// straight into the wire encoder or the chamber's own private copy.
-// Chambers that cannot make this promise simply don't implement it.
+// straight into the wire encoder or the chamber's own private copy. The
+// rows alias the registered table itself, so the promise is what keeps the
+// dataset intact across queries. Chambers that cannot make this promise
+// simply don't implement it.
 type ReadOnlyChamber interface {
 	// ReadOnlyBlocks returns true when the chamber treats block rows as
 	// immutable. A false return disables the zero-copy path (useful for
@@ -134,9 +136,9 @@ type InProcess struct {
 	Policy  Policy
 }
 
-// ReadOnlyBlocks implements ReadOnlyChamber: Execute clones the block into
-// a private copy before the program runs, so the caller's rows are never
-// touched and the engine may skip its own per-block clone.
+// ReadOnlyBlocks implements ReadOnlyChamber: Execute gathers the block into
+// a private slab before the program runs, so the caller's rows are never
+// touched and the engine may hand over views of the dataset itself.
 func (c *InProcess) ReadOnlyBlocks() bool { return true }
 
 // Execute implements Chamber.
@@ -147,11 +149,11 @@ func (c *InProcess) Execute(ctx context.Context, block []mathutil.Vec) (mathutil
 	c.Policy.Metrics.Counter("sandbox.inprocess.spawns").Inc()
 	start := time.Now()
 
-	// The program gets its own copy: it can never mutate the caller's data.
-	private := make([]mathutil.Vec, len(block))
-	for i, r := range block {
-		private[i] = r.Clone()
-	}
+	// The program gets its own copy, gathered into a fresh slab: it can
+	// never mutate the caller's data. The slab is never pooled — a program
+	// abandoned at its deadline may still hold it, and a recycled slab
+	// would carry this block's rows into the next execution.
+	private := mathutil.Gather(block)
 
 	type result struct {
 		out mathutil.Vec

@@ -130,6 +130,31 @@ func TestInProcessDataIsolation(t *testing.T) {
 	}
 }
 
+// The private copy is one slab, so rows are neighbours in memory. Each row
+// is capped at its own width: a program that appends to row i gets a fresh
+// array and cannot overwrite row i+1 of its own copy, nor the caller's.
+func TestInProcessRowsCapped(t *testing.T) {
+	grower := analytics.Func{ProgName: "grower", Dims: 2, F: func(block []mathutil.Vec) (mathutil.Vec, error) {
+		for i := range block {
+			block[i] = append(block[i], -999)
+		}
+		return mathutil.Vec{block[1][0], float64(len(block[1]))}, nil
+	}}
+	block := testBlock(3)
+	out, err := (&InProcess{Program: grower}).Execute(context.Background(), block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0] != 1 || out[1] != 2 {
+		t.Errorf("row 1 after appends = %v (len %v), want value 1 and len 2", out[0], out[1])
+	}
+	for i, r := range block {
+		if len(r) != 1 || r[0] != float64(i) {
+			t.Fatalf("caller's row %d = %v", i, r)
+		}
+	}
+}
+
 func TestInProcessPanicIsolation(t *testing.T) {
 	bomb := analytics.Func{ProgName: "bomb", Dims: 1, F: func([]mathutil.Vec) (mathutil.Vec, error) {
 		panic("boom")
