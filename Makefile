@@ -30,13 +30,18 @@ audit-kill:
 
 # fanout-race runs the sharded-dispatch and scheduler tests under the race
 # detector: concurrent block fan-out, straggler duplication, failover and
-# EDF admission are the raciest paths in the tree.
+# EDF admission are the raciest paths in the tree. The second pass repeats
+# the shared-table tests: concurrent queries gather their blocks straight
+# from one registered table while vandal programs write their private
+# copies, and first queries race to seal the table.
 fanout-race:
 	$(GO) test -race -count=1 -run 'TestFanout|TestScheduler|TestServerOverload|TestServerDeadline|TestWorker' ./internal/compman
+	$(GO) test -race -count=10 -run 'Vandal|ConcurrentFirst' . ./internal/core ./internal/compman ./internal/dataset
 
 # alloc-pins runs the allocation pins of the query path by name: a block
 # hand-off, the shared table view and CSV parsing must not allocate per
-# row, so an O(n) allocation regression fails here legibly.
+# row, so an O(n) allocation regression fails here legibly. The table
+# query pin also caps the bytes a query allocates per row.
 alloc-pins:
 	$(GO) test -count=1 -run 'Allocations' -v ./internal/core ./internal/sandbox ./internal/dataset
 

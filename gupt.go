@@ -293,7 +293,7 @@ func (p *Platform) Run(ctx context.Context, q Query) (*Result, error) {
 		}
 	}
 
-	rows := reg.Private.View()
+	data := reg.Private.Matrix()
 	opts := core.Options{
 		BlockSize:    q.BlockSize,
 		Gamma:        q.Gamma,
@@ -317,7 +317,7 @@ func (p *Platform) Run(ctx context.Context, q Query) (*Result, error) {
 		if planEps <= 0 {
 			planEps = 1
 		}
-		choice, err := aging.OptimizeBlockSize(q.Program, reg.Aged.Rows(), len(rows), planEps, q.OutputRanges)
+		choice, err := aging.OptimizeBlockSize(q.Program, reg.Aged.Rows(), data.NumRows(), planEps, q.OutputRanges)
 		if err != nil {
 			return nil, err
 		}
@@ -338,7 +338,7 @@ func (p *Platform) Run(ctx context.Context, q Query) (*Result, error) {
 		}
 		bs := opts.BlockSize
 		if bs == 0 {
-			bs = core.DefaultBlockSize(len(rows))
+			bs = core.DefaultBlockSize(data.NumRows())
 		}
 		est, err := p.mgr.ChargeForAccuracy(q.Dataset, label, q.Program, bs, q.OutputRanges, *q.Accuracy)
 		if err != nil {
@@ -350,7 +350,7 @@ func (p *Platform) Run(ctx context.Context, q Query) (*Result, error) {
 		return nil, errors.New("gupt: query needs a positive Epsilon or an Accuracy goal")
 	}
 
-	res, err := core.Run(ctx, q.Program, rows, spec, opts)
+	res, err := core.RunMatrix(ctx, q.Program, data, spec, opts)
 	// Fill with clean releases only: a degraded answer is safe to re-serve
 	// but would pin the degradation past the fault that caused it.
 	if err == nil && cachable && res.FailedBlocks == 0 {

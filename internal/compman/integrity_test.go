@@ -2,11 +2,13 @@ package compman
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"gupt/internal/analytics"
+	"gupt/internal/dataset"
 	"gupt/internal/mathutil"
 	"gupt/internal/sandbox"
 )
@@ -42,12 +44,23 @@ func vandalize(t *testing.T, runs *atomic.Int64) func(sandbox.Chamber) sandbox.C
 	}
 }
 
+// viewBuilt reports whether tbl's shared row view has been built: the
+// first View call allocates a header per row, later ones nothing.
+func viewBuilt(tbl *dataset.Table) bool {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_ = tbl.View()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc-before.TotalAlloc < uint64(12*tbl.NumRows())
+}
+
 // TestRegisteredTableSurvivesVandalPrograms is the dataset-integrity guard:
-// queries no longer deep-copy the registered table, so the chambers'
+// queries hand the chambers the registered table itself, so the chambers'
 // private block copies are all that stands between a misbehaving program
 // and the data. After queries and a session whose every block is vandalized
 // — locally and through a 2-worker pool — the table must be bit-identical
-// to the original, and every answer must still be computed from it.
+// to the original, and every answer must still be computed from it. No
+// query may build the table's per-row view.
 func TestRegisteredTableSurvivesVandalPrograms(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -91,6 +104,9 @@ func TestRegisteredTableSurvivesVandalPrograms(t *testing.T) {
 				t.Fatal("the vandal program never ran")
 			}
 
+			if viewBuilt(r.Private) {
+				t.Error("a hosted query built the table's per-row view")
+			}
 			got, view := r.Private.Rows(), r.Private.View()
 			if len(got) != len(want) || len(view) != len(want) {
 				t.Fatalf("table has %d rows (view %d), want %d", len(got), len(view), len(want))
@@ -105,7 +121,7 @@ func TestRegisteredTableSurvivesVandalPrograms(t *testing.T) {
 }
 
 // Concurrent first queries against a freshly registered table all race to
-// build its shared view. Run under -race.
+// seal it and take its shared matrix. Run under -race.
 func TestConcurrentFirstQueriesShareView(t *testing.T) {
 	reg := censusRegistry(t, 1000)
 	_, srv := startCachedServer(t, reg, ServerConfig{})

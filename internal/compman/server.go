@@ -950,7 +950,7 @@ func (s *Server) handleQuery(req *Request, tenantID string, tr *telemetry.Trace,
 	}
 	opts.NewChamber = s.wrapChamberFactory(opts.NewChamber)
 
-	rows := reg.Private.View()
+	data := reg.Private.Matrix()
 
 	// Auto block size (paper §4.3) from the aged sample, if requested.
 	if req.AutoBlockSize && req.BlockSize == 0 {
@@ -965,7 +965,7 @@ func (s *Server) handleQuery(req *Request, tenantID string, tr *telemetry.Trace,
 		if planRanges == nil {
 			return Response{Error: "autoBlockSize requires output ranges"}
 		}
-		choice, err := aging.OptimizeBlockSize(program, reg.Aged.Rows(), len(rows), epsForPlan, planRanges)
+		choice, err := aging.OptimizeBlockSize(program, reg.Aged.Rows(), data.NumRows(), epsForPlan, planRanges)
 		if err != nil {
 			return errResponse(err)
 		}
@@ -995,7 +995,7 @@ func (s *Server) handleQuery(req *Request, tenantID string, tr *telemetry.Trace,
 		goal := aging.AccuracyGoal{Rho: req.Accuracy.Rho, Confidence: req.Accuracy.Confidence}
 		bs := opts.BlockSize
 		if bs == 0 {
-			bs = core.DefaultBlockSize(len(rows))
+			bs = core.DefaultBlockSize(data.NumRows())
 		}
 		est, err := s.mgr.ChargeForAccuracyAs(tenantID, req.Dataset, label, program, bs, spec.Output, goal)
 		if err != nil {
@@ -1014,7 +1014,7 @@ func (s *Server) handleQuery(req *Request, tenantID string, tr *telemetry.Trace,
 	opts.Metrics = s.tel
 	opts.Trace = tr
 
-	res, err := s.runCharged(program, rows, spec, opts, deadline)
+	res, err := s.runCharged(program, data, spec, opts, deadline)
 	if err != nil {
 		// The charge is already settled; failed runs still consumed budget
 		// conservatively (§6.2 — aborts never refund). Report the failure
@@ -1065,7 +1065,7 @@ func respCacheSize(resp *Response) int64 {
 // deterministic (the seed is perturbed per attempt so a seed-dependent
 // failure is not replayed verbatim) and never re-charge: at most one
 // output is ever released for the single ε spent.
-func (s *Server) runCharged(program analytics.Program, rows []mathutil.Vec, spec core.RangeSpec, opts core.Options, deadline time.Time) (*core.Result, error) {
+func (s *Server) runCharged(program analytics.Program, data mathutil.Matrix, spec core.RangeSpec, opts core.Options, deadline time.Time) (*core.Result, error) {
 	ctx := context.Background()
 	if s.cfg.QueryTimeout > 0 {
 		var cancel context.CancelFunc
@@ -1090,7 +1090,7 @@ func (s *Server) runCharged(program analytics.Program, rows []mathutil.Vec, spec
 			s.stats.recordRetry()
 			s.logf("compman: retrying query (attempt %d): %v", attempt+1, err)
 		}
-		res, err = core.Run(ctx, program, rows, spec, runOpts)
+		res, err = core.RunMatrix(ctx, program, data, spec, runOpts)
 		if err == nil {
 			return res, nil
 		}
@@ -1201,10 +1201,10 @@ func (s *Server) handleSession(req *Request, tenantID string, deadline time.Time
 	// here on reports its error in its slot while the rest of the batch
 	// still runs. Aborting the batch would waste the survivors' budget —
 	// and refunding any of it would reopen the §6.2 attack.
-	rows := reg.Private.View()
+	data := reg.Private.Matrix()
 	results := make([]SessionResult, len(members))
 	for i, m := range members {
-		res, err := s.runCharged(m.program, rows,
+		res, err := s.runCharged(m.program, data,
 			core.RangeSpec{Mode: core.ModeTight, Output: m.ranges},
 			core.Options{
 				Epsilon:      alloc[i],

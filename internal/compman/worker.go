@@ -671,14 +671,35 @@ func (c *poolChamber) ReadOnlyBlocks() bool { return true }
 // Execute implements sandbox.Chamber for callers without a block index:
 // the block goes to the least-loaded healthy worker.
 func (c *poolChamber) Execute(ctx context.Context, block []mathutil.Vec) (mathutil.Vec, error) {
-	return c.run(ctx, -1, block)
+	return c.run(ctx, -1, c.request(block))
 }
 
 // ExecuteBlock implements sandbox.BlockChamber: block idx is
 // rendezvous-assigned its home worker so assignment is stable under fleet
 // membership changes (only blocks homed on a removed worker move).
 func (c *poolChamber) ExecuteBlock(ctx context.Context, idx int, block []mathutil.Vec) (mathutil.Vec, error) {
-	return c.run(ctx, idx, block)
+	return c.run(ctx, idx, c.request(block))
+}
+
+// ExecuteIndexed implements sandbox.IndexedChamber: the request's rows are
+// windows of m itself, read only by the wire encoder, so the block costs
+// one header slice and no copy on this side. Block idx is routed as in
+// ExecuteBlock.
+func (c *poolChamber) ExecuteIndexed(ctx context.Context, idx int, m mathutil.Matrix, block []int) (mathutil.Vec, error) {
+	req := &WorkRequest{Spec: c.spec, Block: make([][]float64, len(block))}
+	for i, r := range block {
+		req.Block[i] = m.Row(r)
+	}
+	return c.run(ctx, idx, req)
+}
+
+// request wraps block's rows, without copying them, as a work request.
+func (c *poolChamber) request(block []mathutil.Vec) *WorkRequest {
+	req := &WorkRequest{Spec: c.spec, Block: make([][]float64, len(block))}
+	for i, r := range block {
+		req.Block[i] = r
+	}
+	return req
 }
 
 // run dispatches one block. Transport-level failures (worker restart,
@@ -692,12 +713,7 @@ func (c *poolChamber) ExecuteBlock(ctx context.Context, idx int, block []mathuti
 // background, keeping its connection synchronized. Application-level
 // errors come back as resp.Error and are never retried: the worker is
 // healthy, the computation itself failed.
-func (c *poolChamber) run(ctx context.Context, idx int, block []mathutil.Vec) (mathutil.Vec, error) {
-	req := WorkRequest{Spec: c.spec, Block: make([][]float64, len(block))}
-	for i, r := range block {
-		req.Block[i] = r
-	}
-
+func (c *poolChamber) run(ctx context.Context, idx int, req *WorkRequest) (mathutil.Vec, error) {
 	inflight := c.pool.gauge("compman.pool.inflight")
 	inflight.Inc()
 	defer inflight.Dec()
@@ -728,7 +744,7 @@ func (c *poolChamber) run(ctx context.Context, idx int, block []mathutil.Vec) (m
 		next++
 		start := time.Now()
 		go func() {
-			resp, err := h.do(ctx, &req)
+			resp, err := h.do(ctx, req)
 			results <- result{h, resp, err, stage, start}
 		}()
 		return true

@@ -2,11 +2,14 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"gupt/internal/analytics"
+	"gupt/internal/dataset"
 	"gupt/internal/dp"
 	"gupt/internal/mathutil"
+	"gupt/internal/workload"
 )
 
 func benchRows(n int) []mathutil.Vec {
@@ -71,6 +74,70 @@ func TestRunMeanQueryAllocations(t *testing.T) {
 	if allocs > 1000 {
 		t.Fatalf("BenchmarkRunMeanQuery body allocates %.0f times per query, want <= 1000", allocs)
 	}
+}
+
+// runTableQuery is one BenchmarkRunTableQuery iteration: the hosted
+// path's tight-mode mean over a registered table's matrix, with in-process
+// chambers taking each block as row indices.
+func runTableQuery(m mathutil.Matrix, seed int64) error {
+	spec := RangeSpec{Mode: ModeTight, Output: []dp.Range{{Lo: 0, Hi: 150}}}
+	_, err := RunMatrix(context.Background(), analytics.Mean{Col: 0}, m, spec,
+		Options{Epsilon: 1, Seed: seed})
+	return err
+}
+
+// BenchmarkRunTableQuery is the hosted query path below the server: a
+// mean over a 200,000-row Census table (the scan-local workload's), run
+// with -cpuprofile to see where a query's time goes layer by layer.
+func BenchmarkRunTableQuery(b *testing.B) {
+	m := workload.CensusIncome(1, 200000).Matrix()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := runTableQuery(m, int64(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestRunTableQueryAllocations pins BenchmarkRunTableQuery's per-query
+// cost on a 30,000-row table in ≈61 blocks: O(ℓ) allocations, and at most
+// 56 bytes per row — the permutation (8 B) and each block's private copy
+// (8 B of values plus a 24 B row header), with nothing per row on the way
+// from table to chamber. A per-row header built by the engine would add 24.
+func TestRunTableQueryAllocations(t *testing.T) {
+	const n = 30000
+	tbl, err := dataset.FromRows(nil, benchRows(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := tbl.Matrix()
+	seed := int64(0)
+	query := func() {
+		seed++
+		if err := runTableQuery(m, seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(3, query); allocs > 1000 {
+		t.Fatalf("a table query allocates %.0f times, want <= 1000", allocs)
+	}
+	// The least of a few measurements: the runtime's own allocations only
+	// ever add to a query's.
+	perRow := -1.0
+	for rep := 0; rep < 5; rep++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		query()
+		runtime.ReadMemStats(&after)
+		if b := float64(after.TotalAlloc-before.TotalAlloc) / n; perRow < 0 || b < perRow {
+			perRow = b
+		}
+	}
+	if perRow > 56 {
+		t.Fatalf("a table query allocates %.1f bytes per row, want <= 56", perRow)
+	}
+	t.Logf("%.1f bytes per row", perRow)
 }
 
 // TestViewAllocations pins the zero-copy hand-off contract: View performs

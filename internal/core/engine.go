@@ -135,14 +135,30 @@ func (r *Result) SubstitutionRate() float64 {
 var ErrTooManyFailures = errors.New("core: too many failed blocks")
 
 // Run executes program over rows under the sample-and-aggregate framework
-// and returns an Options.Epsilon-differentially private result. It does not
-// touch any budget ledger — callers (the computation manager) charge the
-// dataset's accountant before invoking Run.
+// and returns an Options.Epsilon-differentially private result. It packs
+// rows into one matrix (rows of unequal width are an error) and runs
+// RunMatrix over it, so the result is bit-identical to RunMatrix on the
+// same records.
 func Run(ctx context.Context, program analytics.Program, rows []mathutil.Vec, spec RangeSpec, opts Options) (*Result, error) {
+	m, err := mathutil.PackRows(rows)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
+	return RunMatrix(ctx, program, m, spec, opts)
+}
+
+// RunMatrix executes program over the records of m under the
+// sample-and-aggregate framework and returns an
+// Options.Epsilon-differentially private result. It never writes m: blocks
+// reach the chambers as row indices into it (sandbox.HandOff), and every
+// program sees a private copy. It does not touch any budget ledger —
+// callers (the computation manager) charge the dataset's accountant before
+// invoking it.
+func RunMatrix(ctx context.Context, program analytics.Program, m mathutil.Matrix, spec RangeSpec, opts Options) (*Result, error) {
 	if program == nil {
 		return nil, errors.New("core: nil program")
 	}
-	n := len(rows)
+	n := m.NumRows()
 	if n == 0 {
 		return nil, errors.New("core: empty dataset")
 	}
@@ -151,7 +167,7 @@ func Run(ctx context.Context, program analytics.Program, rows []mathutil.Vec, sp
 	}
 	opts = opts.withDefaults(n)
 
-	inputDims := len(rows[0])
+	inputDims := m.Width
 	outputDims := program.OutputDims()
 	if outputDims <= 0 {
 		return nil, fmt.Errorf("core: program %q declares %d output dims", program.Name(), outputDims)
@@ -173,7 +189,7 @@ func Run(ctx context.Context, program analytics.Program, rows []mathutil.Vec, sp
 	var part *Partition
 	var err error
 	if opts.UserLevel {
-		groups, gerr := GroupRowsByColumn(rows, opts.UserColumn)
+		groups, gerr := GroupRowsByColumn(m, opts.UserColumn)
 		if gerr != nil {
 			return nil, gerr
 		}
@@ -211,7 +227,7 @@ func Run(ctx context.Context, program analytics.Program, rows []mathutil.Vec, sp
 		if input == nil {
 			return nil, fmt.Errorf("%w: %s requires input ranges (from the spec or the dataset)", ErrRangeSpec, spec.Mode)
 		}
-		preRanges, err = estimateHelperRanges(rangeRNG, rows, spec, input, split.RangeEps, outputDims)
+		preRanges, err = estimateHelperRanges(rangeRNG, m, spec, input, split.RangeEps, outputDims)
 		if err != nil {
 			return nil, err
 		}
@@ -226,7 +242,7 @@ func Run(ctx context.Context, program analytics.Program, rows []mathutil.Vec, sp
 	partSpan.End(telemetry.StatusOK)
 
 	blockSpan := opts.Trace.StartSpan(telemetry.StageBlocks)
-	outputs, failed, err := runBlocks(ctx, program, rows, part, substitute, opts)
+	outputs, failed, err := runBlocks(ctx, program, m, part, substitute, opts)
 	if err != nil {
 		status := telemetry.StatusError
 		if errors.Is(err, context.DeadlineExceeded) {
@@ -299,21 +315,10 @@ func Run(ctx context.Context, program analytics.Program, rows []mathutil.Vec, sp
 // non-finite values) contributes the substitute vector, so the release
 // pipeline sees a complete, well-formed matrix of block outputs. Only
 // cancellation of the caller's context aborts the run.
-func runBlocks(ctx context.Context, program analytics.Program, rows []mathutil.Vec, part *Partition, substitute mathutil.Vec, opts Options) (*blockMatrix, int, error) {
+func runBlocks(ctx context.Context, program analytics.Program, m mathutil.Matrix, part *Partition, substitute mathutil.Vec, opts Options) (*blockMatrix, int, error) {
 	// engine substitutes itself, to count failures
 	pol := sandbox.Policy{Quantum: opts.Quantum, Metrics: opts.Metrics}
 	chamber := opts.NewChamber(program, pol)
-
-	// Chambers that take a block index (the distributed pool) get it for
-	// consistent block→worker assignment; the index never affects results —
-	// block outputs are keyed by index in the output matrix regardless.
-	blockChamber, _ := chamber.(sandbox.BlockChamber)
-	// Chambers declaring they never mutate rows get zero-copy views of the
-	// partition instead of per-block clones.
-	zeroCopy := false
-	if ro, ok := chamber.(sandbox.ReadOnlyChamber); ok {
-		zeroCopy = ro.ReadOnlyBlocks()
-	}
 
 	// Block-outcome counters and the occupancy gauge. All nil-safe: with
 	// opts.Metrics nil each event costs one branch.
@@ -346,20 +351,11 @@ func runBlocks(ctx context.Context, program analytics.Program, rows []mathutil.V
 			if opts.BlockTimeout > 0 {
 				bctx, cancel = context.WithTimeout(ctx, opts.BlockTimeout)
 			}
-			var block []mathutil.Vec
-			if zeroCopy {
-				block = part.View(rows, i)
-			} else {
-				block = part.Materialize(rows, i)
-			}
+			// The block index reaches index-aware chambers (the distributed
+			// pool) for consistent block→worker assignment; it never affects
+			// results — outputs are keyed by index regardless.
 			inflight.Inc()
-			var out mathutil.Vec
-			var err error
-			if blockChamber != nil {
-				out, err = blockChamber.ExecuteBlock(bctx, i, block)
-			} else {
-				out, err = chamber.Execute(bctx, block)
-			}
+			out, err := sandbox.HandOff(bctx, chamber, i, m, part.Blocks[i])
 			inflight.Dec()
 			if err != nil && bctx.Err() == context.DeadlineExceeded && ctx.Err() == nil {
 				// The per-block deadline expired while the parent context was

@@ -99,20 +99,22 @@ func MakeGroupedPartition(rng *mathutil.RNG, n int, groups [][]int, blockSize, g
 	return &Partition{Blocks: blocks, BlockSize: blockSize, Gamma: gamma, N: n}, nil
 }
 
-// GroupRowsByColumn buckets row indices by the (exact float64) value of the
-// given column — the common case where a user identifier is stored as a
-// numeric column. Groups are returned in ascending key order so the
-// partition is deterministic given the RNG.
-func GroupRowsByColumn(rows []mathutil.Vec, col int) ([][]int, error) {
-	if len(rows) == 0 {
+// GroupRowsByColumn buckets the row indices of m by the (exact float64)
+// value of the given column — the common case where a user identifier is
+// stored as a numeric column. Groups are returned in ascending key order
+// so the partition is deterministic given the RNG.
+func GroupRowsByColumn(m mathutil.Matrix, col int) ([][]int, error) {
+	n := m.NumRows()
+	if n == 0 {
 		return nil, fmt.Errorf("core: no rows to group")
 	}
-	if col < 0 || col >= len(rows[0]) {
-		return nil, fmt.Errorf("core: group column %d out of range for %d-dim rows", col, len(rows[0]))
+	if col < 0 || col >= m.Width {
+		return nil, fmt.Errorf("core: group column %d out of range for %d-dim rows", col, m.Width)
 	}
 	byKey := make(map[float64][]int)
-	for i, r := range rows {
-		byKey[r[col]] = append(byKey[r[col]], i)
+	for i := 0; i < n; i++ {
+		k := m.Data[i*m.Width+col]
+		byKey[k] = append(byKey[k], i)
 	}
 	keys := make([]float64, 0, len(byKey))
 	for k := range byKey {

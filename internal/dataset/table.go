@@ -18,8 +18,8 @@ import (
 // table's.
 var ErrDimensionMismatch = errors.New("dataset: row dimension mismatch")
 
-// errSealed is returned by Append once the table's shared view exists.
-var errSealed = errors.New("dataset: append to a table whose view has been taken")
+// errSealed is returned by Append once the table's slab has been shared.
+var errSealed = errors.New("dataset: append to a table whose rows have been shared")
 
 // Table is an immutable-after-build collection of k-dimensional real-valued
 // records, the unit of data that GUPT computations run against. A table may
@@ -36,6 +36,8 @@ type Table struct {
 	data   []float64  // n*dims values, row-major
 	ranges []dp.Range // nil if the owner supplied no attribute ranges
 
+	sealOnce sync.Once
+	sealed   bool // set by seal: the slab is shared and Append refuses
 	viewOnce sync.Once
 	view     []mathutil.Vec // built by View; set once, then only read
 }
@@ -64,7 +66,7 @@ func FromRows(cols []string, rows []mathutil.Vec) (*Table, error) {
 
 // Append adds a copy of row to the table. All rows must share one width,
 // and if column names were supplied the width must match them. A table
-// whose View has been taken is sealed and refuses further rows.
+// whose Matrix or View has been taken is sealed and refuses further rows.
 func (t *Table) Append(row mathutil.Vec) error {
 	if err := t.checkWidth(len(row)); err != nil {
 		return err
@@ -77,7 +79,7 @@ func (t *Table) Append(row mathutil.Vec) error {
 // checkWidth validates the width of the next row and, for the first row of
 // an anonymous table, fixes the table's width.
 func (t *Table) checkWidth(w int) error {
-	if t.view != nil {
+	if t.sealed {
 		return errSealed
 	}
 	if len(t.cols) > 0 && w != len(t.cols) {
@@ -98,6 +100,15 @@ func (t *Table) fit() {
 		copy(exact, t.data)
 		t.data = exact
 	}
+}
+
+// seal fits the slab and makes Append refuse from then on, so the slab a
+// Matrix or View shares never changes. It runs once.
+func (t *Table) seal() {
+	t.sealOnce.Do(func() {
+		t.fit()
+		t.sealed = true
+	})
 }
 
 // row returns record i aliasing the slab, capped at its own width so an
@@ -142,17 +153,28 @@ func (t *Table) Rows() []mathutil.Vec {
 	return rowsOver(append([]float64(nil), t.data...), t.n, t.dims)
 }
 
+// Matrix returns the table's records as a shared, read-only matrix over
+// the table's own slab. It allocates nothing and builds no row headers;
+// the query paths hand it to the engine, which passes blocks on as row
+// indices. It seals the table: Append fails afterwards.
+//
+// Nothing may write through the matrix. Chambers read it only to gather a
+// private copy of each block before an untrusted program sees it.
+func (t *Table) Matrix() mathutil.Matrix {
+	t.seal()
+	return mathutil.Matrix{Data: t.data, Width: t.dims}
+}
+
 // View returns the table's records as a shared, read-only view: row i
 // aliases the table's slab, capped at its own width. The view is built on
-// the first call and returned as-is by every later one, so the per-query
-// cost is zero allocations. It seals the table: Append fails afterwards.
+// the first call and returned as-is by every later one. It seals the
+// table: Append fails afterwards. The query paths use Matrix instead,
+// which costs no header per row.
 //
-// Nothing may write through the view. The engine hands it only to chambers
-// that declare sandbox.ReadOnlyChamber, which gather a private copy of each
-// block before an untrusted program sees it.
+// Nothing may write through the view.
 func (t *Table) View() []mathutil.Vec {
 	t.viewOnce.Do(func() {
-		t.fit()
+		t.seal()
 		t.view = rowsOver(t.data, t.n, t.dims)
 	})
 	return t.view

@@ -78,17 +78,23 @@ func TestAppendAfterViewRefused(t *testing.T) {
 	}
 }
 
-// Many goroutines racing to take the first view all get the same one. Run
-// under -race: the view is built lazily and read concurrently.
+// Many goroutines racing to take the first view or matrix all get the
+// same slab. Run under -race: the table is sealed and the view built
+// lazily, then both are read concurrently.
 func TestViewConcurrentFirstUse(t *testing.T) {
 	tbl := seqTable(t, 1000, 2)
 	views := make([][]mathutil.Vec, 8)
+	mats := make([]mathutil.Matrix, 8)
 	var wg sync.WaitGroup
 	for g := range views {
-		wg.Add(1)
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			views[g] = tbl.View()
+		}()
+		go func() {
+			defer wg.Done()
+			mats[g] = tbl.Matrix()
 		}()
 	}
 	wg.Wait()
@@ -96,6 +102,25 @@ func TestViewConcurrentFirstUse(t *testing.T) {
 		if len(v) != 1000 || &v[0][0] != &views[0][0][0] || v[999][1] != 1999 {
 			t.Fatalf("goroutine %d got a different or wrong view", g)
 		}
+		if m := mats[g]; m.NumRows() != 1000 || &m.Data[0] != &v[0][0] || m.Row(999)[1] != 1999 {
+			t.Fatalf("goroutine %d got a different or wrong matrix", g)
+		}
+	}
+}
+
+// The matrix is the table's own slab: no copy, no row headers, no
+// allocation at all. Taking it seals the table like View does.
+func TestMatrixSharesSlab(t *testing.T) {
+	tbl := seqTable(t, 4, 3)
+	var m mathutil.Matrix
+	if allocs := testing.AllocsPerRun(10, func() { m = tbl.Matrix() }); allocs != 0 {
+		t.Fatalf("Matrix allocates %.0f times, want 0", allocs)
+	}
+	if m.Width != 3 || m.NumRows() != 4 || &m.Data[0] != &tbl.data[0] || len(m.Data) != cap(m.Data) {
+		t.Fatalf("matrix %d×%d (cap %d) is not the table's exact slab", m.NumRows(), m.Width, cap(m.Data))
+	}
+	if err := tbl.Append(mathutil.Vec{9, 9, 9}); !errors.Is(err, errSealed) {
+		t.Fatalf("Append after Matrix: err = %v, want errSealed", err)
 	}
 }
 

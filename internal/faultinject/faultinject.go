@@ -238,6 +238,16 @@ func (c *Chamber) ExecuteBlock(ctx context.Context, idx int, block []mathutil.Ve
 	})
 }
 
+// ExecuteIndexed implements sandbox.IndexedChamber by delegation: the
+// block reaches the inner chamber through sandbox.HandOff, so an indexed
+// inner chamber gets the indices and any other gets the row hand-off it
+// would have got unwrapped.
+func (c *Chamber) ExecuteIndexed(ctx context.Context, idx int, m mathutil.Matrix, block []int) (mathutil.Vec, error) {
+	return c.execute(ctx, func(ctx context.Context) (mathutil.Vec, error) {
+		return sandbox.HandOff(ctx, c.Inner, idx, m, block)
+	})
+}
+
 // execute injects the scheduled fault around one inner run.
 func (c *Chamber) execute(ctx context.Context, inner func(context.Context) (mathutil.Vec, error)) (mathutil.Vec, error) {
 	switch k := c.Schedule.next(); k {

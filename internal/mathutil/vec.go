@@ -42,6 +42,79 @@ func Gather(rows []Vec) []Vec {
 	return out
 }
 
+// Matrix is a row-major table of records in one contiguous slab: row i is
+// Data[i*Width:(i+1)*Width]. Blocks are handed around as row indices into
+// it, so a block costs no per-row header until a consumer asks for one.
+type Matrix struct {
+	Data  []float64
+	Width int
+}
+
+// PackRows copies rows into one fresh Matrix. Every row must have the
+// width of the first; a ragged input is an error, not a panic.
+func PackRows(rows []Vec) (Matrix, error) {
+	if len(rows) == 0 {
+		return Matrix{}, nil
+	}
+	w := len(rows[0])
+	data := make([]float64, 0, len(rows)*w)
+	for i, r := range rows {
+		if len(r) != w {
+			return Matrix{}, fmt.Errorf("mathutil: row %d has %d values, row 0 has %d", i, len(r), w)
+		}
+		data = append(data, r...)
+	}
+	return Matrix{Data: data, Width: w}, nil
+}
+
+// NumRows returns the number of records; a zero-width matrix has none.
+func (m Matrix) NumRows() int {
+	if m.Width == 0 {
+		return 0
+	}
+	return len(m.Data) / m.Width
+}
+
+// Row returns record i aliasing the slab, capped at its own width so an
+// append to it reallocates instead of overwriting record i+1.
+func (m Matrix) Row(i int) Vec {
+	lo, hi := i*m.Width, (i+1)*m.Width
+	return m.Data[lo:hi:hi]
+}
+
+// View returns capped row headers aliasing the records at idx, in order.
+// Nothing may write through them: they are the matrix's own storage.
+func (m Matrix) View(idx []int) []Vec {
+	out := make([]Vec, len(idx))
+	for j, r := range idx {
+		out[j] = m.Row(r)
+	}
+	return out
+}
+
+// Gather copies the records at idx, in order, into one fresh slab and
+// returns capped row headers over it, like the package-level Gather. It
+// reads the indices and writes the slab sequentially, one element at a
+// time: rows are a few values wide, too short for a per-row copy call to
+// pay for itself. It allocates twice however many rows there are.
+func (m Matrix) Gather(idx []int) []Vec {
+	w := m.Width
+	slab := make([]float64, len(idx)*w)
+	off := 0
+	for _, r := range idx {
+		for _, v := range m.Data[r*w : r*w+w] {
+			slab[off] = v
+			off++
+		}
+	}
+	out := make([]Vec, len(idx))
+	for j := range out {
+		lo, hi := j*w, j*w+w
+		out[j] = slab[lo:hi:hi]
+	}
+	return out
+}
+
 // Add returns v + w. It panics if the lengths differ; mismatched dimensions
 // are a programming error, not a data error.
 func (v Vec) Add(w Vec) Vec {

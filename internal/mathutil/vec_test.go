@@ -143,3 +143,59 @@ func anyNaNInf(v Vec) bool {
 	}
 	return false
 }
+
+// Gather copies the indexed rows, in index order, into a fresh slab whose
+// rows are capped: writes and appends through the copy never reach the
+// matrix or a neighbouring row.
+func TestMatrixGather(t *testing.T) {
+	for _, w := range []int{1, 3} {
+		m := Matrix{Width: w}
+		for i := 0; i < 5*w; i++ {
+			m.Data = append(m.Data, float64(i))
+		}
+		idx := []int{4, 0, 4, 2}
+		got := m.Gather(idx)
+		view := m.View(idx)
+		for j, r := range idx {
+			if !got[j].Equal(m.Row(r), 0) || !view[j].Equal(m.Row(r), 0) {
+				t.Fatalf("width %d: row %d = %v (view %v), want %v", w, j, got[j], view[j], m.Row(r))
+			}
+			if len(got[j]) != w || cap(got[j]) != w || &view[j][0] != &m.Data[r*w] {
+				t.Fatalf("width %d: row %d len/cap %d/%d, or view does not alias", w, j, len(got[j]), cap(got[j]))
+			}
+		}
+		got[0] = append(got[0], -1)
+		if !got[1].Equal(m.Row(0), 0) {
+			t.Fatalf("width %d: appending to row 0 of the copy overwrote row 1", w)
+		}
+		for j := range got {
+			for k := range got[j] {
+				got[j][k] = -1
+			}
+		}
+		for i, v := range m.Data {
+			if v != float64(i) {
+				t.Fatalf("width %d: writing the copy reached matrix value %d", w, i)
+			}
+		}
+	}
+}
+
+// PackRows copies rectangular rows into one matrix and refuses ragged ones.
+func TestPackRows(t *testing.T) {
+	rows := []Vec{{1, 2}, {3, 4}, {5, 6}}
+	m, err := PackRows(rows)
+	if err != nil || m.Width != 2 || m.NumRows() != 3 || m.Row(2)[1] != 6 {
+		t.Fatalf("PackRows = %+v, %v", m, err)
+	}
+	rows[0][0] = 9
+	if m.Data[0] != 1 {
+		t.Fatal("PackRows aliased its input")
+	}
+	if _, err := PackRows([]Vec{{1, 2}, {3}}); err == nil {
+		t.Fatal("ragged rows accepted")
+	}
+	if m, err := PackRows(nil); err != nil || m.NumRows() != 0 {
+		t.Fatalf("PackRows(nil) = %+v, %v", m, err)
+	}
+}

@@ -52,23 +52,42 @@ func BenchmarkSubprocessExecute(b *testing.B) {
 }
 
 // TestInProcessExecuteAllocations pins the block hand-off cost: Execute
-// gathers the block into one private slab plus one header slice, so its
-// allocation count does not depend on the number of rows. A per-row copy
-// would make the 10,000-row block cost ~9,900 more allocations.
+// and ExecuteIndexed gather the block into one private slab plus one
+// header slice, so their allocation counts do not depend on the number of
+// rows. A per-row copy would make the 10,000-row block cost ~9,900 more
+// allocations.
 func TestInProcessExecuteAllocations(t *testing.T) {
 	ch := &InProcess{Program: analytics.Func{ProgName: "first", Dims: 1,
 		F: func(block []mathutil.Vec) (mathutil.Vec, error) { return mathutil.Vec{block[0][0]}, nil }}}
 	ctx := context.Background()
-	allocs := func(n int) float64 {
+	allocs := func(n int) (rows, indexed float64) {
 		block := benchBlock(n)
-		return testing.AllocsPerRun(50, func() {
+		m, err := mathutil.PackRows(block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = n - 1 - i
+		}
+		rows = testing.AllocsPerRun(50, func() {
 			if _, err := ch.Execute(ctx, block); err != nil {
 				t.Fatal(err)
 			}
 		})
+		indexed = testing.AllocsPerRun(50, func() {
+			if _, err := ch.ExecuteIndexed(ctx, 0, m, idx); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return rows, indexed
 	}
-	small, large := allocs(100), allocs(10000)
+	small, smallIdx := allocs(100)
+	large, largeIdx := allocs(10000)
 	if small != large {
 		t.Fatalf("Execute allocates %.0f times for 100 rows but %.0f for 10,000", small, large)
+	}
+	if smallIdx != largeIdx {
+		t.Fatalf("ExecuteIndexed allocates %.0f times for 100 rows but %.0f for 10,000", smallIdx, largeIdx)
 	}
 }

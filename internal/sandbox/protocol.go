@@ -24,10 +24,20 @@ type Response struct {
 
 // WriteRequest encodes a block as a Request on w.
 func WriteRequest(w io.Writer, block []mathutil.Vec) error {
-	req := Request{Block: make([][]float64, len(block))}
+	return requestOf(block).write(w)
+}
+
+// requestOf wraps block's rows, without copying them, as a Request.
+func requestOf(block []mathutil.Vec) *Request {
+	req := &Request{Block: make([][]float64, len(block))}
 	for i, r := range block {
 		req.Block[i] = r
 	}
+	return req
+}
+
+// write encodes req on w.
+func (req *Request) write(w io.Writer) error {
 	if err := json.NewEncoder(w).Encode(req); err != nil {
 		return fmt.Errorf("sandbox: encode request: %w", err)
 	}

@@ -53,17 +53,53 @@ type BlockChamber interface {
 
 // ReadOnlyChamber is an optional Chamber extension declaring that Execute
 // never mutates the rows of the block it is handed (and does not retain
-// them after returning). The engine hands such chambers zero-copy views of
-// the dataset partition instead of per-block clones — the block rows flow
-// straight into the wire encoder or the chamber's own private copy. The
-// rows alias the registered table itself, so the promise is what keeps the
-// dataset intact across queries. Chambers that cannot make this promise
-// simply don't implement it.
+// them after returning). HandOff gives such chambers, unless they are
+// IndexedChambers, row headers aliasing the dataset instead of private
+// copies — the block rows flow straight into the wire encoder or the
+// chamber's own private copy. The rows alias the registered table itself,
+// so the promise is what keeps the dataset intact across queries.
+// Chambers that cannot make this promise simply don't implement it.
 type ReadOnlyChamber interface {
 	// ReadOnlyBlocks returns true when the chamber treats block rows as
 	// immutable. A false return disables the zero-copy path (useful for
 	// wrappers that forward to an unknown inner chamber).
 	ReadOnlyBlocks() bool
+}
+
+// IndexedChamber is an optional Chamber extension for implementations that
+// take a block as row indices into the dataset's shared matrix, so the
+// engine builds no per-block row headers for them. ExecuteIndexed runs the
+// computation on the rows of m listed in block, in that order; idx is the
+// block's index within its query, as for BlockChamber. The contract:
+// ExecuteIndexed never writes m — it is the registered table itself — and
+// the program only ever sees a fresh, never-pooled private copy of its
+// rows, exactly as Execute would have given it.
+type IndexedChamber interface {
+	Chamber
+	ExecuteIndexed(ctx context.Context, idx int, m mathutil.Matrix, block []int) (mathutil.Vec, error)
+}
+
+// HandOff runs block idx — the rows of m listed in block — on ch through
+// the cheapest hand-off ch supports: an IndexedChamber gets the indices;
+// a ReadOnlyChamber gets row headers aliasing m; any other chamber gets a
+// private copy of the rows, which it may mutate freely. The two row paths
+// then go through ExecuteBlock when ch implements BlockChamber, and
+// Execute otherwise. Wrappers that forward to an unknown inner chamber use
+// HandOff too, so the fallback is decided in one place.
+func HandOff(ctx context.Context, ch Chamber, idx int, m mathutil.Matrix, block []int) (mathutil.Vec, error) {
+	if ic, ok := ch.(IndexedChamber); ok {
+		return ic.ExecuteIndexed(ctx, idx, m, block)
+	}
+	var rows []mathutil.Vec
+	if ro, ok := ch.(ReadOnlyChamber); ok && ro.ReadOnlyBlocks() {
+		rows = m.View(block)
+	} else {
+		rows = m.Gather(block)
+	}
+	if bc, ok := ch.(BlockChamber); ok {
+		return bc.ExecuteBlock(ctx, idx, rows)
+	}
+	return ch.Execute(ctx, rows)
 }
 
 // ErrKilled is returned (wrapped) when a computation exceeded its quantum
@@ -143,6 +179,17 @@ func (c *InProcess) ReadOnlyBlocks() bool { return true }
 
 // Execute implements Chamber.
 func (c *InProcess) Execute(ctx context.Context, block []mathutil.Vec) (mathutil.Vec, error) {
+	return c.run(ctx, func() []mathutil.Vec { return mathutil.Gather(block) })
+}
+
+// ExecuteIndexed implements IndexedChamber: the block's rows are gathered
+// straight from m into the program's private slab, in one pass.
+func (c *InProcess) ExecuteIndexed(ctx context.Context, _ int, m mathutil.Matrix, block []int) (mathutil.Vec, error) {
+	return c.run(ctx, func() []mathutil.Vec { return m.Gather(block) })
+}
+
+// run executes the program on the private copy gather returns.
+func (c *InProcess) run(ctx context.Context, gather func() []mathutil.Vec) (mathutil.Vec, error) {
 	if c.Program == nil {
 		return nil, errors.New("sandbox: InProcess chamber has no program")
 	}
@@ -153,7 +200,7 @@ func (c *InProcess) Execute(ctx context.Context, block []mathutil.Vec) (mathutil
 	// never mutate the caller's data. The slab is never pooled — a program
 	// abandoned at its deadline may still hold it, and a recycled slab
 	// would carry this block's rows into the next execution.
-	private := mathutil.Gather(block)
+	private := gather()
 
 	type result struct {
 		out mathutil.Vec

@@ -155,6 +155,98 @@ func TestInProcessRowsCapped(t *testing.T) {
 	}
 }
 
+// ExecuteIndexed hands the program a private copy of the indexed rows, in
+// index order: the program may overwrite and grow every row, and the
+// shared matrix stays as it was.
+func TestInProcessExecuteIndexedPrivateCopy(t *testing.T) {
+	m := mathutil.Matrix{Data: []float64{0, 10, 1, 11, 2, 12, 3, 13}, Width: 2}
+	vandal := analytics.Func{ProgName: "vandal", Dims: 2, F: func(block []mathutil.Vec) (mathutil.Vec, error) {
+		first := block[0][1]
+		for i := range block {
+			for j := range block[i] {
+				block[i][j] = -1
+			}
+			block[i] = append(block[i], -999)
+		}
+		return mathutil.Vec{first, float64(len(block))}, nil
+	}}
+	out, err := (&InProcess{Program: vandal}).ExecuteIndexed(context.Background(), 0, m, []int{3, 0, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out[0] != 13 || out[1] != 3 {
+		t.Errorf("program saw first row value %v in a block of %v, want 13 in 3", out[0], out[1])
+	}
+	for i, v := range []float64{0, 10, 1, 11, 2, 12, 3, 13} {
+		if m.Data[i] != v {
+			t.Fatalf("matrix value %d = %v after the run, want %v", i, m.Data[i], v)
+		}
+	}
+}
+
+// recordingChamber logs which hand-off the engine used and writes through
+// the rows it is handed, like a program that mutates its input would.
+type recordingChamber struct {
+	readOnly, block bool
+	got             string
+	idx             int
+}
+
+func (c *recordingChamber) Execute(_ context.Context, rows []mathutil.Vec) (mathutil.Vec, error) {
+	c.got = "execute"
+	return c.touch(rows), nil
+}
+
+func (c *recordingChamber) touch(rows []mathutil.Vec) mathutil.Vec {
+	first := rows[0][0]
+	if !c.readOnly {
+		rows[0][0] = -1
+	}
+	return mathutil.Vec{first}
+}
+
+type readOnlyRecorder struct{ *recordingChamber }
+
+func (readOnlyRecorder) ReadOnlyBlocks() bool { return true }
+
+type blockRecorder struct{ *recordingChamber }
+
+func (c blockRecorder) ExecuteBlock(_ context.Context, idx int, rows []mathutil.Vec) (mathutil.Vec, error) {
+	c.got, c.idx = "block", idx
+	return c.touch(rows), nil
+}
+
+// HandOff picks the cheapest hand-off a chamber supports: indices for an
+// IndexedChamber, aliasing headers for a ReadOnlyChamber, a private copy
+// otherwise; row hand-offs carry the block index to a BlockChamber. A
+// chamber that may write its rows never writes the matrix.
+func TestHandOffRoutes(t *testing.T) {
+	ctx := context.Background()
+	m := mathutil.Matrix{Data: []float64{5, 6, 7}, Width: 1}
+	block := []int{2, 0}
+
+	ip := &InProcess{Program: analytics.Func{ProgName: "first", Dims: 1,
+		F: func(rows []mathutil.Vec) (mathutil.Vec, error) { return mathutil.Vec{rows[0][0]}, nil }}}
+	if out, err := HandOff(ctx, ip, 4, m, block); err != nil || out[0] != 7 {
+		t.Fatalf("indexed hand-off = %v, %v; want [7]", out, err)
+	}
+
+	ro := &recordingChamber{readOnly: true}
+	if out, _ := HandOff(ctx, readOnlyRecorder{ro}, 4, m, block); out[0] != 7 || ro.got != "execute" {
+		t.Fatalf("read-only hand-off = %v via %q", out, ro.got)
+	}
+
+	mut := &recordingChamber{}
+	if out, _ := HandOff(ctx, mut, 4, m, block); out[0] != 7 || mut.got != "execute" || m.Data[2] != 7 {
+		t.Fatalf("copy hand-off = %v via %q; matrix now %v", out, mut.got, m.Data)
+	}
+
+	blk := &recordingChamber{}
+	if out, _ := HandOff(ctx, blockRecorder{blk}, 4, m, block); out[0] != 7 || blk.got != "block" || blk.idx != 4 || m.Data[2] != 7 {
+		t.Fatalf("block hand-off = %v via %q idx %d; matrix now %v", out, blk.got, blk.idx, m.Data)
+	}
+}
+
 func TestInProcessPanicIsolation(t *testing.T) {
 	bomb := analytics.Func{ProgName: "bomb", Dims: 1, F: func([]mathutil.Vec) (mathutil.Vec, error) {
 		panic("boom")
@@ -237,6 +329,13 @@ func TestSubprocessBasic(t *testing.T) {
 	}
 	if out[0] != 2 {
 		t.Errorf("subprocess mean = %v, want 2", out[0])
+	}
+	m, err := mathutil.PackRows(testBlock(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := ch.ExecuteIndexed(context.Background(), 0, m, []int{4, 1}); err != nil || out[0] != 2.5 {
+		t.Errorf("indexed subprocess mean = %v, %v; want 2.5", out, err)
 	}
 }
 

@@ -52,6 +52,21 @@ func (c *Subprocess) ReadOnlyBlocks() bool { return true }
 
 // Execute implements Chamber.
 func (c *Subprocess) Execute(ctx context.Context, block []mathutil.Vec) (mathutil.Vec, error) {
+	return c.run(ctx, requestOf(block))
+}
+
+// ExecuteIndexed implements IndexedChamber: the request's rows are windows
+// of m, read once by the encoder; the child decodes its own private copy.
+func (c *Subprocess) ExecuteIndexed(ctx context.Context, _ int, m mathutil.Matrix, block []int) (mathutil.Vec, error) {
+	req := Request{Block: make([][]float64, len(block))}
+	for i, r := range block {
+		req.Block[i] = m.Row(r)
+	}
+	return c.run(ctx, &req)
+}
+
+// run executes the app on one encoded request.
+func (c *Subprocess) run(ctx context.Context, req *Request) (mathutil.Vec, error) {
 	if c.Path == "" {
 		return nil, errors.New("sandbox: Subprocess chamber has no executable path")
 	}
@@ -73,7 +88,7 @@ func (c *Subprocess) Execute(ctx context.Context, block []mathutil.Vec) (mathuti
 	}
 
 	var stdin bytes.Buffer
-	if err := WriteRequest(&stdin, block); err != nil {
+	if err := req.write(&stdin); err != nil {
 		return nil, err
 	}
 	var stdout, stderr bytes.Buffer

@@ -149,7 +149,7 @@ func (s *Session) Run(ctx context.Context) ([]*Result, error) {
 			continue
 		}
 		spec := core.RangeSpec{Mode: q.Mode, Output: q.OutputRanges}
-		res, err := core.Run(ctx, q.Program, reg.Private.View(), spec, core.Options{
+		res, err := core.RunMatrix(ctx, q.Program, reg.Private.Matrix(), spec, core.Options{
 			Epsilon:      q.Epsilon,
 			BlockSize:    q.BlockSize,
 			Gamma:        q.Gamma,
