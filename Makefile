@@ -19,8 +19,12 @@ race:
 # ledger-kill runs the SIGKILL recovery matrix for the durable privacy
 # ledger: child processes are killed at every fsync/rename boundary and at
 # random instants, and recovery must never under-count acknowledged ε.
+# The second pass repeats the group-commit tests: flush leaders racing
+# compaction's file swap, fsync sharing, timer-free lone acks and a failed
+# fsync surfacing on Status.
 ledger-kill:
 	$(GO) test -race -count=1 -run 'TestKill' ./internal/ledger
+	$(GO) test -race -count=20 -run 'GroupCommit|RacesFlushLeader|LoneCharge|FsyncFailure' ./internal/ledger
 
 # audit-kill is the same matrix for the tamper-evident audit log: SIGKILL
 # at every append/head-write boundary must leave a chain that verifies,

@@ -2,7 +2,6 @@ package ledger
 
 import (
 	"testing"
-	"time"
 
 	"gupt/internal/dp"
 )
@@ -16,7 +15,7 @@ func TestCacheHitsAreBudgetInvariant(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncEveryRecord, SyncBatched} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			opts := Options{Sync: policy, FlushInterval: time.Millisecond}
+			opts := Options{Sync: policy}
 
 			l := openTest(t, dir, opts)
 			acct := dp.NewAccountant(10)

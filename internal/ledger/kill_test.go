@@ -71,7 +71,6 @@ func runKillChild() {
 	seen := 0
 	opts := Options{
 		Sync:              policy,
-		FlushInterval:     200 * time.Microsecond,
 		SnapshotThreshold: threshold,
 	}
 	if point != "" {

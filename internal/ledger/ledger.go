@@ -21,12 +21,12 @@ var ErrClosed = errors.New("ledger: closed")
 // code never sets the hook; tests use it to SIGKILL the process at exact
 // fsync and rename boundaries and prove recovery never under-counts.
 const (
-	CrashAfterAppend       = "append.after-write"    // record written, not yet fsync'd
-	CrashAfterSync         = "append.after-fsync"    // record durable, accountant not yet debited
-	CrashAfterSpend        = "charge.after-spend"    // accountant debited, ack not yet returned
-	CrashAfterRefund       = "refund.after-write"    // refund written (possibly volatile)
-	CrashAfterSnapshot     = "compact.after-snapshot" // snapshot renamed, old WAL still whole
-	CrashAfterWALSwap      = "compact.after-swap"    // fresh WAL renamed into place
+	CrashAfterAppend          = "append.after-write"             // record written, not yet fsync'd
+	CrashAfterSync            = "append.after-fsync"             // record durable, accountant not yet debited
+	CrashAfterSpend           = "charge.after-spend"             // accountant debited, ack not yet returned
+	CrashAfterRefund          = "refund.after-write"             // refund written (possibly volatile)
+	CrashAfterSnapshot        = "compact.after-snapshot"         // snapshot renamed, old WAL still whole
+	CrashAfterWALSwap         = "compact.after-swap"             // fresh WAL renamed into place
 	CrashBeforeSnapshotRename = "compact.before-snapshot-rename" // temp written, rename pending
 )
 
@@ -34,10 +34,8 @@ const (
 type Options struct {
 	// Sync selects the fsync policy; default SyncEveryRecord.
 	Sync SyncPolicy
-	// FlushInterval is the group-commit accumulation window for
-	// SyncBatched; the flush leader waits this long before syncing so
-	// concurrent charges share the fsync. Default 2ms. Ignored under
-	// SyncEveryRecord.
+	// Deprecated: ignored. SyncBatched's flush leader syncs as soon as a
+	// record waits on it; concurrent charges share fsyncs without a timer.
 	FlushInterval time.Duration
 	// SnapshotThreshold compacts the WAL into a snapshot once the log file
 	// exceeds this many bytes. Default 1 MiB; negative disables
@@ -58,9 +56,6 @@ type Options struct {
 
 func (o *Options) withDefaults() Options {
 	out := *o
-	if out.FlushInterval <= 0 {
-		out.FlushInterval = 2 * time.Millisecond
-	}
 	if out.SnapshotThreshold == 0 {
 		out.SnapshotThreshold = 1 << 20
 	}
@@ -217,7 +212,7 @@ func (l *Ledger) waitDurable(seq uint64) error {
 	if l.opts.Sync == SyncEveryRecord {
 		return nil // appendLocked already synced
 	}
-	batch, err := l.wal.waitSynced(seq, l.opts.FlushInterval)
+	batch, err := l.wal.waitSynced(seq)
 	if batch > 0 {
 		l.fsyncs.Inc()
 		l.syncedRecords.Add(batch)
@@ -566,8 +561,8 @@ type Status struct {
 	WALBytes int64
 	// Datasets counts datasets with ledger state.
 	Datasets int
-	// LastFsync is the completion time of the most recent fsync (zero
-	// before the first).
+	// LastFsync is the completion time of the most recent successful
+	// fsync (zero before the first).
 	LastFsync time.Time
 	// SnapshotSeq / SnapshotAt describe the newest snapshot (zero when
 	// none has been taken).
@@ -580,8 +575,9 @@ type Status struct {
 	// final record.
 	RecoveredTornTail bool
 	// Poisoned, when non-empty, is the error that put the ledger into the
-	// fail-closed state (a WAL swap whose rename could not be fsync'd);
-	// all further charges are refused. Empty when healthy.
+	// fail-closed state: a WAL swap whose rename could not be fsync'd (all
+	// further charges are refused), else the first failed WAL fsync (it
+	// latches: every later group-commit ack fails). Empty when healthy.
 	Poisoned string
 }
 
@@ -589,10 +585,12 @@ type Status struct {
 func (l *Ledger) Status() Status {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	synced, lastSync := l.wal.syncedThrough()
+	synced, lastSync, syncErr := l.wal.syncedThrough()
 	var poisoned string
 	if l.poisoned != nil {
 		poisoned = l.poisoned.Error()
+	} else if syncErr != nil {
+		poisoned = fmt.Sprintf("ledger: fsync wal: %v", syncErr)
 	}
 	return Status{
 		Poisoned:          poisoned,

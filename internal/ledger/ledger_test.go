@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"gupt/internal/dp"
 	"gupt/internal/telemetry"
@@ -28,7 +27,7 @@ func TestChargePersistsAcrossReopen(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncEveryRecord, SyncBatched} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			opts := Options{Sync: policy, FlushInterval: time.Millisecond}
+			opts := Options{Sync: policy}
 
 			l := openTest(t, dir, opts)
 			acct := dp.NewAccountant(10)
@@ -260,7 +259,7 @@ func TestTelemetryCounters(t *testing.T) {
 // Status surfaces the operational facts the admin /ledger endpoint serves.
 func TestStatus(t *testing.T) {
 	dir := t.TempDir()
-	l := openTest(t, dir, Options{Sync: SyncBatched, FlushInterval: time.Millisecond})
+	l := openTest(t, dir, Options{Sync: SyncBatched})
 	acct := dp.NewAccountant(10)
 	b, _ := l.Bind("ds", acct)
 	if err := b.Spend("q", 1); err != nil {
@@ -289,9 +288,8 @@ func TestStatus(t *testing.T) {
 func TestBatchedAckDurability(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, dir, Options{
-		Sync:          SyncBatched,
-		FlushInterval: 500 * time.Microsecond,
-		Logger:        log.New(os.Stderr, "", 0),
+		Sync:   SyncBatched,
+		Logger: log.New(os.Stderr, "", 0),
 	})
 	acct := dp.NewAccountant(1000)
 	b, _ := l.Bind("ds", acct)

@@ -2,7 +2,10 @@ package ledger
 
 import (
 	"errors"
+	"math/rand/v2"
+	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,7 +21,7 @@ func TestConcurrentChargesOneDataset(t *testing.T) {
 	for _, policy := range []SyncPolicy{SyncEveryRecord, SyncBatched} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			l := openTest(t, dir, Options{Sync: policy, FlushInterval: 200 * time.Microsecond})
+			l := openTest(t, dir, Options{Sync: policy})
 			const total = 10.0
 			acct := dp.NewAccountant(total)
 			b, err := l.Bind("ds", acct)
@@ -83,15 +86,20 @@ func TestConcurrentChargesOneDataset(t *testing.T) {
 
 // Group commits race compaction: a tiny snapshot threshold makes every
 // few charges swap the WAL file while batched flush leaders are mid-fsync
-// on it. The leader copies the fd under flushMu and swap waits for the
-// syncing flag to clear, so a leader never fsyncs a closed fd (that would
-// latch a sync error and fail every later charge). Run with -race.
+// on it, and the fsync seam stretches every fsync by a random 0–500 µs so
+// leaders and compaction's own sync overlap in every order. The leader
+// copies the fd under flushMu and swap waits for the syncing flag to
+// clear, so a leader never fsyncs a closed fd (that would latch a sync
+// error and fail every later charge). Run with -race.
 func TestGroupCommitRacesCompaction(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, dir, Options{
 		Sync:              SyncBatched,
-		FlushInterval:     100 * time.Microsecond,
 		SnapshotThreshold: 256, // compact every handful of records
+	})
+	stubSyncFile(t, func(f *os.File) error {
+		time.Sleep(time.Duration(rand.IntN(500)) * time.Microsecond)
+		return f.Sync()
 	})
 	b, err := l.Bind("ds", dp.NewAccountant(1e6))
 	if err != nil {
@@ -125,56 +133,59 @@ func TestGroupCommitRacesCompaction(t *testing.T) {
 	}
 }
 
-// The widest version of the same race: a long flush interval keeps the
-// group-commit leader asleep (fd in hand) across entire explicit Compact
-// calls issued from another goroutine, so without the flushMu handshake
-// the leader would fsync the swapped-out, closed fd.
+// The widest version of the same race, made deterministic: the fsync seam
+// holds a group-commit leader mid-fsync, fd in hand, while an explicit
+// Compact runs from another goroutine. Compact must wait for the leader
+// before swapping the file; without the flushMu handshake it would close
+// the fd under the leader, whose fsync would then fail and latch.
 func TestExplicitCompactRacesFlushLeader(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, dir, Options{
 		Sync:              SyncBatched,
-		FlushInterval:     2 * time.Millisecond,
-		SnapshotThreshold: -1, // only the explicit Compact loop below
+		SnapshotThreshold: -1, // only the explicit Compact below
 	})
 	b, err := l.Bind("ds", dp.NewAccountant(1e6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := b.Spend("q", 0.25); err != nil {
-					t.Errorf("charge racing Compact: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	deadline := time.Now().Add(500 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		if err := l.Compact(); err != nil {
-			t.Errorf("Compact: %v", err)
-			break
+	var leading atomic.Bool
+	held, release := make(chan struct{}), make(chan struct{})
+	stubSyncFile(t, func(f *os.File) error {
+		if leading.CompareAndSwap(false, true) { // the first fsync is the leader's
+			close(held)
+			<-release
 		}
+		return f.Sync()
+	})
+
+	spent := make(chan error, 1)
+	go func() { spent <- b.Spend("q", 0.25) }()
+	<-held
+	compacted := make(chan error, 1)
+	go func() { compacted <- l.Compact() }()
+	select {
+	case err := <-compacted:
+		t.Errorf("Compact returned (err %v) while a flush leader held the old WAL fd mid-fsync", err)
+		compacted <- nil
+	case <-time.After(50 * time.Millisecond):
 	}
-	close(stop)
-	wg.Wait()
+	close(release)
+	if err := <-spent; err != nil {
+		t.Errorf("charge racing Compact: %v", err)
+	}
+	if err := <-compacted; err != nil {
+		t.Errorf("Compact: %v", err)
+	}
+	if err := b.Spend("q", 0.25); err != nil {
+		t.Errorf("charge after Compact: %v", err)
+	}
 	l.Close()
 	rec, err := Recover(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rec.Datasets["ds"].Spent; got <= 0 {
-		t.Fatalf("recovered spent = %v, want > 0", got)
+	if got := rec.Datasets["ds"].Spent; got < 0.5-1e-9 {
+		t.Fatalf("recovered spent = %v, want ≥ 0.5", got)
 	}
 }
 
@@ -182,7 +193,7 @@ func TestExplicitCompactRacesFlushLeader(t *testing.T) {
 // commits interleave across datasets without crosstalk.
 func TestConcurrentChargesManyDatasets(t *testing.T) {
 	dir := t.TempDir()
-	l := openTest(t, dir, Options{Sync: SyncBatched, FlushInterval: 200 * time.Microsecond})
+	l := openTest(t, dir, Options{Sync: SyncBatched})
 	names := []string{"a", "b", "c", "d"}
 	backed := make(map[string]*Backed, len(names))
 	for _, n := range names {

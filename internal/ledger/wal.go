@@ -18,11 +18,14 @@ const (
 	SyncEveryRecord SyncPolicy = iota
 	// SyncBatched acknowledges a record only once an fsync covering it has
 	// completed, but lets concurrent appenders share one fsync (group
-	// commit): the first waiter becomes the flush leader, sleeps up to
-	// FlushInterval to let a batch accumulate, syncs once, and releases
-	// everyone it covered. Same never-under-count guarantee as
-	// SyncEveryRecord — an acknowledged charge is always durable — at a
-	// fraction of the fsync cost under concurrency.
+	// commit): a waiter whose record is not yet covered, finding no fsync
+	// in flight, becomes the flush leader and syncs at once, covering
+	// everything appended so far. Records appended while that fsync runs
+	// wait for it, then share the next leader's single fsync, so batches
+	// grow by themselves when the disk is slow and nobody waits on a timer.
+	// Same never-under-count guarantee as SyncEveryRecord — an
+	// acknowledged charge is always durable — at a fraction of the fsync
+	// cost under concurrency.
 	SyncBatched
 )
 
@@ -104,85 +107,77 @@ func (w *wal) append(r Record) error {
 // sync fsyncs the file immediately and advances the synced watermark.
 // Callers hold the Ledger mutex (SyncEveryRecord path and compaction).
 func (w *wal) sync() error {
-	err := w.f.Sync()
+	target := w.appended.Load()
+	err := syncFile(w.f)
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
-	w.lastSync = time.Now()
+	w.settle(target, err)
+	if err != nil {
+		return fmt.Errorf("ledger: fsync wal: %w", err)
+	}
+	return nil
+}
+
+// settle records the outcome of an fsync that started once every record
+// through target was written, and wakes all waiters. A failure latches
+// syncErr and leaves lastSync and the watermark alone. Callers hold
+// flushMu. Returns how many records the fsync newly made durable.
+func (w *wal) settle(target uint64, err error) int64 {
+	defer w.flushCond.Broadcast()
 	if err != nil {
 		if w.syncErr == nil {
 			w.syncErr = err
 		}
-		w.flushCond.Broadcast()
-		return fmt.Errorf("ledger: fsync wal: %w", err)
+		return 0
 	}
-	if seq := w.appended.Load(); seq > w.synced {
-		w.synced = seq
+	w.lastSync = time.Now()
+	if target <= w.synced {
+		return 0
 	}
-	w.flushCond.Broadcast()
-	return nil
+	n := int64(target - w.synced)
+	w.synced = target
+	return n
 }
 
 // waitSynced blocks until an fsync covering seq has completed (group
 // commit). The caller must NOT hold the Ledger mutex. Returns the number
 // of records the caller's flush covered when it acted as leader (for
 // batch-size telemetry), or 0 when it rode along as a follower.
-func (w *wal) waitSynced(seq uint64, interval time.Duration) (int64, error) {
+func (w *wal) waitSynced(seq uint64) (int64, error) {
 	w.flushMu.Lock()
+	defer w.flushMu.Unlock()
+	var batch int64
 	for w.synced < seq && w.syncErr == nil {
 		if w.syncing {
-			// A leader is already flushing; ride its batch.
+			// A leader is already flushing; wait for it, then lead or
+			// ride the next fsync if it did not cover seq.
 			w.flushCond.Wait()
 			continue
 		}
-		// Become the flush leader. syncing=true keeps swap (compaction)
-		// and close from replacing or closing the fd mid-fsync — both
-		// wait for it to clear. Sleep briefly so concurrent appenders
-		// join this batch, then sync once outside the lock.
+		// Become the flush leader and sync at once, outside the lock,
+		// covering everything written so far. syncing=true keeps swap
+		// (compaction) and close from replacing or closing the fd
+		// mid-fsync — both wait for it to clear.
 		w.syncing = true
+		f, target := w.f, w.appended.Load()
 		w.flushMu.Unlock()
-		if interval > 0 {
-			time.Sleep(interval)
-		}
-		w.flushMu.Lock()
-		f := w.f // cannot go stale: swap waits while syncing is set
-		w.flushMu.Unlock()
-		target := w.appended.Load() // everything written before the fsync below
-		err := f.Sync()
+		err := syncFile(f)
 		w.flushMu.Lock()
 		w.syncing = false
-		w.lastSync = time.Now()
-		var batch int64
-		if err != nil {
-			if w.syncErr == nil {
-				w.syncErr = err
-			}
-		} else if target > w.synced {
-			batch = int64(target - w.synced)
-			w.synced = target
-		}
-		w.flushCond.Broadcast()
-		if w.synced >= seq || w.syncErr != nil {
-			serr := w.syncErr
-			w.flushMu.Unlock()
-			if serr != nil {
-				return batch, fmt.Errorf("ledger: fsync wal: %w", serr)
-			}
-			return batch, nil
-		}
+		batch += w.settle(target, err)
 	}
-	err := w.syncErr
-	w.flushMu.Unlock()
-	if err != nil {
-		return 0, fmt.Errorf("ledger: fsync wal: %w", err)
+	if w.syncErr != nil {
+		return batch, fmt.Errorf("ledger: fsync wal: %w", w.syncErr)
 	}
-	return 0, nil
+	return batch, nil
 }
 
-// syncedThrough reports the durable watermark and last fsync time.
-func (w *wal) syncedThrough() (uint64, time.Time) {
+// syncedThrough reports the durable watermark, the last successful fsync
+// time and the latched fsync failure, if any.
+func (w *wal) syncedThrough() (uint64, time.Time, error) {
 	w.flushMu.Lock()
 	defer w.flushMu.Unlock()
-	return w.synced, w.lastSync
+	return w.synced, w.lastSync, w.syncErr
 }
 
 // swap replaces the open file with the freshly compacted one. Callers hold
@@ -211,25 +206,15 @@ func (w *wal) close() error {
 		w.flushCond.Wait()
 	}
 	w.syncing = true // exclusive fd ownership: no leader syncs a closing fd
-	f := w.f
+	f, target := w.f, w.appended.Load()
 	w.flushMu.Unlock()
 
-	err := f.Sync()
+	err := syncFile(f)
 	cerr := f.Close()
 
 	w.flushMu.Lock()
-	w.lastSync = time.Now()
-	if err != nil {
-		if w.syncErr == nil {
-			w.syncErr = err
-		}
-	} else {
-		if seq := w.appended.Load(); seq > w.synced {
-			w.synced = seq
-		}
-	}
 	w.syncing = false
-	w.flushCond.Broadcast()
+	w.settle(target, err)
 	w.flushMu.Unlock()
 	if err == nil {
 		err = cerr
@@ -237,9 +222,14 @@ func (w *wal) close() error {
 	return err
 }
 
-// fsyncDir fsyncs a directory so renames within it are durable. Tests
-// swap it out to exercise the post-rename failure path in compaction.
-var fsyncDir = syncDir
+// syncFile fsyncs the WAL file and fsyncDir fsyncs a directory so renames
+// within it are durable. Tests swap them out to slow or fail an fsync: the
+// group-commit races, the flush leader's sharing and the post-rename
+// failure path in compaction.
+var (
+	syncFile = (*os.File).Sync
+	fsyncDir = syncDir
+)
 
 func syncDir(dir string) error {
 	d, err := os.Open(dir)

@@ -50,7 +50,8 @@ type LedgerStatus struct {
 	WALBytes int64 `json:"walBytes"`
 	// Datasets counts datasets with ledger state.
 	Datasets int `json:"datasets"`
-	// LastFsync is the completion time of the most recent fsync.
+	// LastFsync is the completion time of the most recent successful
+	// fsync.
 	LastFsync time.Time `json:"lastFsync"`
 	// SnapshotSeq and SnapshotAt describe the newest compaction snapshot;
 	// SnapshotAgeSeconds is its age at serve time (-1 when none exists).
@@ -63,8 +64,8 @@ type LedgerStatus struct {
 	RecoveredTornTail bool `json:"recoveredTornTail"`
 	// Poisoned, when non-empty, is the error that put the ledger into its
 	// fail-closed state (a WAL swap whose rename could not be made
-	// durable); all charges are being refused until the operator
-	// intervenes.
+	// durable, or a failed WAL fsync, which latches); charges are being
+	// refused until the operator intervenes.
 	Poisoned string `json:"poisoned,omitempty"`
 }
 
