@@ -7,17 +7,17 @@ package gupt
 // callers often replay identical seeded queries precisely to observe fresh
 // draws; the hosted server (cmd/guptd) enables it by default instead.
 //
-// The fingerprint must be exact: only queries whose every
-// distribution-relevant component can be hashed canonically are cached.
-// Programs are fingerprinted by a type switch over the platform's builtin
-// value-struct programs; custom Program implementations, Func closures,
-// Translate functions and custom Chambers make a query uncachable — the
-// hash cannot see inside a closure, and a wrong "identical" here would
-// re-serve an answer from a different distribution. Uncachable queries
-// simply run normally every time.
+// The fingerprint (internal/pipeline) must be exact: only queries whose
+// every distribution-relevant component can be hashed canonically are
+// cached. This file writes the one part the pipeline cannot, the program's
+// identity: a type switch over the platform's builtin value-struct
+// programs. Custom Program implementations, Func closures, Translate
+// functions and custom Chambers make a query uncachable — the hash cannot
+// see inside a closure, and a wrong "identical" here would re-serve an
+// answer from a different distribution. Uncachable queries simply run
+// normally every time.
 
 import (
-	"fmt"
 	"time"
 
 	"gupt/internal/analytics"
@@ -32,17 +32,17 @@ import (
 // version inside every fingerprint already makes stale answers
 // unreachable. maxEntries <= 0 disables caching again.
 func (p *Platform) EnableCache(maxEntries int, ttl time.Duration) {
-	p.cache = qcache.New(qcache.Config{MaxEntries: maxEntries, TTL: ttl})
+	p.pipe.Cache = qcache.New(qcache.Config{MaxEntries: maxEntries, TTL: ttl})
 }
 
 // CacheStats snapshots the cache counters; all zeros when disabled.
-func (p *Platform) CacheStats() qcache.Stats { return p.cache.Stats() }
+func (p *Platform) CacheStats() qcache.Stats { return p.pipe.Cache.Stats() }
 
 // InvalidateCache drops every cached answer for the named dataset,
 // returning the count. Mutation paths call this after bumping the
 // dataset's content version; the bump alone already guarantees a mutated
 // dataset can never serve a stale answer.
-func (p *Platform) InvalidateCache(name string) int { return p.cache.Invalidate(name) }
+func (p *Platform) InvalidateCache(name string) int { return p.pipe.Cache.Invalidate(name) }
 
 // hashProgram writes a program's canonical identity, or reports that the
 // program cannot be fingerprinted (closures, custom implementations).
@@ -107,102 +107,9 @@ func hashProgram(h *qcache.Hasher, prog Program) bool {
 	return true
 }
 
-// hashRangeList writes a count-prefixed range list.
-func hashRangeList(h *qcache.Hasher, rs []Range) {
-	h.Int(len(rs))
-	for _, r := range rs {
-		h.F64(r.Lo)
-		h.F64(r.Hi)
-	}
-}
-
-// hashQueryBody writes the per-query fields shared by standalone queries
-// and session members (everything except dataset/content version/budget,
-// which the caller hashes once). Reports false if the query is uncachable.
-func hashQueryBody(h *qcache.Hasher, q *Query) bool {
-	if q.Translate != nil || q.Chambers != nil {
-		return false // closures cannot be fingerprinted
-	}
-	if !hashProgram(h, q.Program) {
-		return false
-	}
-	h.Int(int(q.Mode))
-	hashRangeList(h, q.OutputRanges)
-	hashRangeList(h, q.InputRanges)
-	h.F64(q.PercentileLow)
-	h.F64(q.PercentileHigh)
-	h.F64(q.Epsilon)
-	if q.Accuracy != nil {
-		h.Bool(true)
-		h.F64(q.Accuracy.Rho)
-		h.F64(q.Accuracy.Confidence)
-	} else {
-		h.Bool(false)
-	}
-	h.Int(q.BlockSize)
-	h.Bool(q.AutoBlockSize)
-	h.Int(q.Gamma)
-	h.I64(q.Seed)
-	h.I64(int64(q.Quantum))
-	h.I64(int64(q.BlockTimeout))
-	h.F64(q.MaxFailFrac)
-	h.Bool(q.UserLevel)
-	h.Int(q.UserColumn)
-	return true
-}
-
-// queryFingerprint computes the cache key for a standalone query at the
-// given dataset content version; ok is false when the query is uncachable
-// or caching is disabled.
-func (p *Platform) queryFingerprint(q *Query, contentVersion uint64) (qcache.Fingerprint, bool) {
-	if p.cache == nil {
-		return qcache.Fingerprint{}, false
-	}
-	h := qcache.NewHasher()
-	h.Str("gupt-query-v1")
-	h.Str(q.Dataset)
-	h.U64(contentVersion)
-	if !hashQueryBody(h, q) {
-		return qcache.Fingerprint{}, false
-	}
-	return h.Sum(), true
-}
-
-// sessionFingerprint computes the cache key for a whole session: its ε is
-// distributed and charged atomically, so the batch re-releases (or not) as
-// one unit.
-func (p *Platform) sessionFingerprint(s *Session, contentVersion uint64) (qcache.Fingerprint, bool) {
-	if p.cache == nil {
-		return qcache.Fingerprint{}, false
-	}
-	h := qcache.NewHasher()
-	h.Str("gupt-session-v1")
-	h.Str(s.dataset)
-	h.U64(contentVersion)
-	h.F64(s.budget)
-	h.Int(len(s.queries))
-	for i := range s.queries {
-		if !hashQueryBody(h, &s.queries[i]) {
-			return qcache.Fingerprint{}, false
-		}
-	}
-	return h.Sum(), true
-}
-
-// resultCacheSize approximates a cached result's footprint for the bytes
-// gauge.
-func resultCacheSize(res *Result) int64 {
-	return 128 + int64(8*len(res.Output)) + int64(16*len(res.EffectiveRanges))
-}
-
-// cacheHitResult returns a caller-owned copy of a cached result with the
-// hit flag set, after journaling the ε=0 re-release against the dataset's
-// ledger (cache_hit record; the accountant is never touched).
-func (p *Platform) cacheHitResult(dataset, label string, cached Result) (*Result, error) {
-	if err := p.mgr.CacheHit(dataset, label); err != nil {
-		return nil, fmt.Errorf("gupt: recording cache hit: %w", err)
-	}
-	res := cached
-	res.CacheHit = true
-	return &res, nil
+// identity writes the query's program identity for the pipeline's
+// fingerprint. A Translate function or custom Chambers make the query
+// uncachable, like a closure program: the hash cannot see inside them.
+func (q *Query) identity(h *qcache.Hasher) bool {
+	return q.Translate == nil && q.Chambers == nil && hashProgram(h, q.Program)
 }

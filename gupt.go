@@ -41,7 +41,7 @@ import (
 	"gupt/internal/dataset"
 	"gupt/internal/dp"
 	"gupt/internal/mathutil"
-	"gupt/internal/qcache"
+	"gupt/internal/pipeline"
 	"gupt/internal/sandbox"
 )
 
@@ -105,15 +105,14 @@ var ErrBudgetExhausted = dp.ErrBudgetExhausted
 // and the sample-and-aggregate engine behind one façade. It is safe for
 // concurrent use.
 type Platform struct {
-	reg   *dataset.Registry
-	mgr   *budget.Manager
-	cache *qcache.Cache // noisy-answer cache; nil until EnableCache
+	reg  *dataset.Registry
+	pipe pipeline.Pipeline // the query path; its Cache is nil until EnableCache
 }
 
 // New creates an empty platform.
 func New() *Platform {
 	reg := dataset.NewRegistry()
-	return &Platform{reg: reg, mgr: budget.NewManager(reg)}
+	return &Platform{reg: reg, pipe: pipeline.Pipeline{Reg: reg, Mgr: budget.NewManager(reg)}}
 }
 
 // DatasetOptions configures dataset registration (the data-owner
@@ -145,23 +144,7 @@ func (p *Platform) Register(name string, rows [][]float64, cols []string, opts D
 			return fmt.Errorf("gupt: row %d: %w", i, err)
 		}
 	}
-	regOpts := dataset.RegisterOptions{
-		TotalBudget:  opts.TotalBudget,
-		Ranges:       opts.Ranges,
-		AgedFraction: opts.AgedFraction,
-		Seed:         opts.Seed,
-	}
-	if opts.AgedRows != nil {
-		aged := dataset.New(cols)
-		for i, r := range opts.AgedRows {
-			if err := aged.Append(mathutil.Vec(r)); err != nil {
-				return fmt.Errorf("gupt: aged row %d: %w", i, err)
-			}
-		}
-		regOpts.Aged = aged
-	}
-	_, err := p.reg.Register(name, tbl, regOpts)
-	return err
+	return p.register(name, tbl, opts)
 }
 
 // RegisterCSV loads a dataset from a CSV file and registers it.
@@ -170,18 +153,31 @@ func (p *Platform) RegisterCSV(name, path string, header bool, opts DatasetOptio
 	if err != nil {
 		return err
 	}
-	_, err = p.reg.Register(name, tbl, dataset.RegisterOptions{
+	return p.register(name, tbl, opts)
+}
+
+func (p *Platform) register(name string, tbl *dataset.Table, opts DatasetOptions) error {
+	regOpts := dataset.RegisterOptions{
 		TotalBudget:  opts.TotalBudget,
 		Ranges:       opts.Ranges,
 		AgedFraction: opts.AgedFraction,
 		Seed:         opts.Seed,
-	})
+	}
+	if opts.AgedRows != nil {
+		regOpts.Aged = dataset.New(tbl.Columns())
+		for i, r := range opts.AgedRows {
+			if err := regOpts.Aged.Append(mathutil.Vec(r)); err != nil {
+				return fmt.Errorf("gupt: aged row %d: %w", i, err)
+			}
+		}
+	}
+	_, err := p.reg.Register(name, tbl, regOpts)
 	return err
 }
 
 // Unregister removes a dataset and drops its cached answers.
 func (p *Platform) Unregister(name string) error {
-	p.cache.Invalidate(name)
+	p.pipe.Cache.Invalidate(name)
 	return p.reg.Unregister(name)
 }
 
@@ -190,7 +186,7 @@ func (p *Platform) Datasets() []string { return p.reg.Names() }
 
 // RemainingBudget reports the unspent lifetime budget of a dataset.
 func (p *Platform) RemainingBudget(name string) (float64, error) {
-	return p.mgr.Remaining(name)
+	return p.pipe.Mgr.Remaining(name)
 }
 
 // Query describes one differentially private computation (the analyst
@@ -259,125 +255,51 @@ type Query struct {
 
 // Run executes the query and returns its differentially private result.
 // The privacy charge is settled against the dataset's ledger before the
-// computation runs; refused charges consume nothing.
+// computation runs; refused charges consume nothing. With EnableCache, an
+// exact repeat of a released query is re-served that answer at zero ε.
 func (p *Platform) Run(ctx context.Context, q Query) (*Result, error) {
-	reg, err := p.reg.Lookup(q.Dataset)
-	if err != nil {
-		return nil, err
-	}
-	if q.Program == nil {
-		return nil, errors.New("gupt: query needs a program")
-	}
-	label := fmt.Sprintf("%s:%s", q.Dataset, q.Program.Name())
-
-	// Noisy-answer cache (EnableCache): an exact repeat of a previously
-	// released query — same distribution-relevant fields, same dataset
-	// content version — is re-served the same published answer at zero
-	// additional ε. The re-release is journaled as a cache_hit ledger
-	// record; the accountant is never touched.
-	fp, cachable := p.queryFingerprint(&q, reg.ContentVersion())
-	if cachable {
-		if v, ok := p.cache.Get(fp); ok {
-			return p.cacheHitResult(q.Dataset, label, v.(Result))
-		}
-	}
-
-	spec := core.RangeSpec{
-		Mode: q.Mode, Output: q.OutputRanges, Translate: q.Translate,
-		PercentileLow: q.PercentileLow, PercentileHigh: q.PercentileHigh,
-	}
-	if q.Mode == Helper {
-		spec.Input = q.InputRanges
-		if spec.Input == nil {
-			spec.Input = reg.Private.Ranges()
-		}
-	}
-
-	data := reg.Private.Matrix()
-	opts := core.Options{
-		BlockSize:    q.BlockSize,
-		Gamma:        q.Gamma,
-		Seed:         q.Seed,
-		Quantum:      q.Quantum,
-		BlockTimeout: q.BlockTimeout,
-		MaxFailFrac:  q.MaxFailFrac,
-		NewChamber:   q.Chambers,
-		UserLevel:    q.UserLevel,
-		UserColumn:   q.UserColumn,
-	}
-
-	if q.AutoBlockSize && q.BlockSize == 0 {
-		if !reg.HasAged() {
-			return nil, aging.ErrNoAgedData
-		}
-		if q.OutputRanges == nil {
-			return nil, errors.New("gupt: AutoBlockSize requires output ranges")
-		}
-		planEps := q.Epsilon
-		if planEps <= 0 {
-			planEps = 1
-		}
-		choice, err := aging.OptimizeBlockSize(q.Program, reg.Aged.Rows(), data.NumRows(), planEps, q.OutputRanges)
-		if err != nil {
-			return nil, err
-		}
-		opts.BlockSize = choice.BlockSize
-	}
-
-	switch {
-	case q.Epsilon > 0 && q.Accuracy != nil:
-		return nil, errors.New("gupt: set either Epsilon or Accuracy, not both")
-	case q.Epsilon > 0:
-		if err := p.mgr.Charge(q.Dataset, label, q.Epsilon); err != nil {
-			return nil, err
-		}
-		opts.Epsilon = q.Epsilon
-	case q.Accuracy != nil:
-		if q.OutputRanges == nil {
-			return nil, errors.New("gupt: accuracy goals need output ranges")
-		}
-		bs := opts.BlockSize
-		if bs == 0 {
-			bs = core.DefaultBlockSize(data.NumRows())
-		}
-		est, err := p.mgr.ChargeForAccuracy(q.Dataset, label, q.Program, bs, q.OutputRanges, *q.Accuracy)
-		if err != nil {
-			return nil, err
-		}
-		opts.Epsilon = est.Epsilon
-		opts.BlockSize = est.BlockSize
-	default:
-		return nil, errors.New("gupt: query needs a positive Epsilon or an Accuracy goal")
-	}
-
-	res, err := core.RunMatrix(ctx, q.Program, data, spec, opts)
-	// Fill with clean releases only: a degraded answer is safe to re-serve
-	// but would pin the degradation past the fault that caused it.
-	if err == nil && cachable && res.FailedBlocks == 0 {
-		p.cache.Put(fp, q.Dataset, *res, resultCacheSize(res))
-	}
+	pq := q.canonical()
+	res, _, err := p.pipe.Run(ctx, "", &pq, nil)
 	return res, err
+}
+
+// canonical converts q to the pipeline's query.
+func (q *Query) canonical() pipeline.Query {
+	pq := pipeline.Query{
+		Dataset:        q.Dataset,
+		Program:        q.Program,
+		Identity:       q.identity,
+		Mode:           q.Mode,
+		OutputRanges:   q.OutputRanges,
+		InputRanges:    q.InputRanges,
+		Translate:      q.Translate,
+		PercentileLow:  q.PercentileLow,
+		PercentileHigh: q.PercentileHigh,
+		Epsilon:        q.Epsilon,
+		Accuracy:       q.Accuracy,
+		BlockSize:      q.BlockSize,
+		AutoBlockSize:  q.AutoBlockSize,
+		Gamma:          q.Gamma,
+		Seed:           q.Seed,
+		Quantum:        q.Quantum,
+		UserLevel:      q.UserLevel,
+		UserColumn:     q.UserColumn,
+		BlockTimeout:   q.BlockTimeout,
+		MaxFailFrac:    q.MaxFailFrac,
+		Chambers:       q.Chambers,
+	}
+	if q.Program != nil {
+		pq.Name = q.Program.Name()
+	}
+	return pq
 }
 
 // EstimateEpsilon previews the ε an accuracy goal would cost on a dataset
 // without charging anything — useful for analysts budgeting a session. It
 // requires the dataset to have an aged sample.
 func (p *Platform) EstimateEpsilon(name string, program Program, blockSize int, ranges []Range, goal AccuracyGoal) (float64, error) {
-	reg, err := p.reg.Lookup(name)
-	if err != nil {
-		return 0, err
-	}
-	if !reg.HasAged() {
-		return 0, aging.ErrNoAgedData
-	}
-	if blockSize == 0 {
-		blockSize = core.DefaultBlockSize(reg.Private.NumRows())
-	}
-	est, err := aging.EstimateEpsilon(program, reg.Aged.Rows(), reg.Private.NumRows(), blockSize, ranges, goal)
-	if err != nil {
-		return 0, err
-	}
-	return est.Epsilon, nil
+	est, err := p.pipe.Mgr.EstimateEpsilon(name, program, blockSize, ranges, goal)
+	return est.Epsilon, err
 }
 
 // DefaultBlockSize returns the paper's default block size n^0.6 for a
@@ -436,6 +358,6 @@ func (p *Platform) SynthesizeAgedSample(name string, eps float64, bins, count in
 	// content version (making every existing fingerprint unreachable) and
 	// eagerly drop the now-dead cache entries.
 	reg.BumpContentVersion()
-	p.cache.Invalidate(name)
+	p.pipe.Cache.Invalidate(name)
 	return nil
 }

@@ -194,18 +194,14 @@ func (m *Manager) record(datasetName string, err error) error {
 	return err
 }
 
-// CacheHit journals an ε=0 re-release of a previously published answer for
-// the named dataset. No budget moves — the accountant is never touched —
-// but when a durable ledger backs the dataset, a cache_hit record lands in
-// the WAL so the books distinguish re-releases from fresh spends. The
-// counters (budget.cache_hits[.<dataset>]) carry event counts only.
-func (m *Manager) CacheHit(datasetName, label string) error {
-	return m.CacheHitAs("", datasetName, label)
-}
-
-// CacheHitAs is CacheHit attributed to a tenant id, so the WAL shows whose
-// cached answer was re-released. Still budget- and quota-neutral: a cache
-// hit is post-processing of an answer already paid for.
+// CacheHitAs journals an ε=0 re-release of a previously published answer
+// for the named dataset, attributed to a tenant id so the WAL shows whose
+// cached answer was re-released. No budget or quota moves — the accountant
+// is never touched, since a hit is post-processing of an answer already
+// paid for — but when a durable ledger backs the dataset, a cache_hit
+// record lands in the WAL so the books distinguish re-releases from fresh
+// spends. The counters (budget.cache_hits[.<dataset>]) carry event counts
+// only.
 func (m *Manager) CacheHitAs(tenant, datasetName, label string) error {
 	r, err := m.reg.Lookup(datasetName)
 	if err != nil {
@@ -240,6 +236,20 @@ func (m *Manager) ChargeForAccuracy(datasetName, label string, program analytics
 // estimate runs first (aged data only, costs nothing), so the tenant's
 // quota is reserved for the exact ε the goal translates to.
 func (m *Manager) ChargeForAccuracyAs(tenant, datasetName, label string, program analytics.Program, blockSize int, ranges []dp.Range, goal aging.AccuracyGoal) (aging.EpsilonEstimate, error) {
+	est, err := m.EstimateEpsilon(datasetName, program, blockSize, ranges, goal)
+	if err != nil {
+		return aging.EpsilonEstimate{}, err
+	}
+	if err := m.ChargeAs(tenant, datasetName, label, est.Epsilon); err != nil {
+		return aging.EpsilonEstimate{}, err
+	}
+	return est, nil
+}
+
+// EstimateEpsilon translates an accuracy goal into the minimal ε on the
+// named dataset from its aged sample (paper §5.1) without charging
+// anything. blockSize 0 selects the default n^0.6.
+func (m *Manager) EstimateEpsilon(datasetName string, program analytics.Program, blockSize int, ranges []dp.Range, goal aging.AccuracyGoal) (aging.EpsilonEstimate, error) {
 	r, err := m.reg.Lookup(datasetName)
 	if err != nil {
 		return aging.EpsilonEstimate{}, err
@@ -251,22 +261,5 @@ func (m *Manager) ChargeForAccuracyAs(tenant, datasetName, label string, program
 	if blockSize == 0 {
 		blockSize = core.DefaultBlockSize(n)
 	}
-	est, err := aging.EstimateEpsilon(program, r.Aged.Rows(), n, blockSize, ranges, goal)
-	if err != nil {
-		return aging.EpsilonEstimate{}, err
-	}
-	if tenant != "" && m.quotas != nil {
-		if err := m.quotas.Reserve(tenant, datasetName, est.Epsilon); err != nil {
-			m.tel.Counter("budget.tenant_quota_refusals").Inc()
-			return aging.EpsilonEstimate{}, m.record(datasetName, err)
-		}
-	}
-	if err := m.record(datasetName, r.SpendAs(tenant, label, est.Epsilon)); err != nil {
-		if tenant != "" && m.quotas != nil {
-			m.quotas.Release(tenant, datasetName, est.Epsilon)
-		}
-		return aging.EpsilonEstimate{}, err
-	}
-	m.burn(tenant, datasetName, est.Epsilon, r)
-	return est, nil
+	return aging.EstimateEpsilon(program, r.Aged.Rows(), n, blockSize, ranges, goal)
 }

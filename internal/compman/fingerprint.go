@@ -1,34 +1,97 @@
 package compman
 
-// Query fingerprinting for the noisy-answer cache (internal/qcache). The
-// fingerprint is the canonical identity of a released answer: every request
-// field that can change the released distribution is hashed in a fixed
-// order through qcache.Hasher, together with the dataset's content version.
+// The wire front end's half of the answer-cache fingerprint. The pipeline
+// (internal/pipeline) hashes the query skeleton the same way for both
+// front ends; this file converts a request to that skeleton and writes the
+// program's identity: every ProgramSpec field, plus the translate spec.
 // Two requests that differ only in representation — JSON field ordering,
-// float formatting, the presence of zero-valued optional fields — must
-// fingerprint identically, because the binary codec and this hasher both
-// see the decoded struct, not the bytes. Two requests that differ in any
-// distribution-relevant field (ε, clamp ranges, program parameters, block
-// geometry, seed, privacy unit, mode) must fingerprint apart, as must the
-// same request over mutated data (the content version).
-//
-// Serving a cached release on a fingerprint match is safe by
-// post-processing regardless of the cache policy; distinctness is what
-// keeps the cache *useful* rather than what keeps it private. See
-// SECURITY.md ("The noisy-answer cache as a side channel").
+// float formatting — fingerprint identically, because the binary codec and
+// the hasher both see the decoded struct, not the bytes.
 
-import "gupt/internal/qcache"
+import (
+	"time"
 
-// fingerprintScheme versions the hash layout. Bump it whenever a field is
-// added or reordered below so entries written by an older layout (none can
-// exist in-process, but belt and braces for future persistence) can never
-// alias. Scheme 2 added the tenant id: the noisy-answer cache is
-// partitioned per tenant, so one tenant's query history is never observable
-// through another tenant's hit/miss timing (see SECURITY.md).
-const fingerprintScheme = 2
+	"gupt/internal/aging"
+	"gupt/internal/core"
+	"gupt/internal/dp"
+	"gupt/internal/pipeline"
+	"gupt/internal/qcache"
+)
 
-// hashProgramSpec writes every ProgramSpec field, fixed order.
+// wireQuery converts a query request to the pipeline's canonical query.
+// It never fails, so any decodable request has a fingerprint: what does
+// not resolve (an unknown program or mode, a malformed range) is refused
+// after the cache lookup by Server.resolve or the pipeline, and so never
+// reaches the cache. req.Program must be set.
+func wireQuery(req *Request) pipeline.Query {
+	q := pipeline.Query{
+		Dataset: req.Dataset,
+		Name:    req.Program.Type,
+		Identity: func(h *qcache.Hasher) bool {
+			hashProgramSpec(h, req.Program)
+			hashTranslateSpec(h, req.Translate)
+			return true
+		},
+		Mode:           wireMode(req.Mode),
+		OutputRanges:   rangesOf(req.OutputRanges),
+		InputRanges:    rangesOf(req.InputRanges),
+		PercentileLow:  req.PercentileLow,
+		PercentileHigh: req.PercentileHigh,
+		Epsilon:        req.Epsilon,
+		BlockSize:      req.BlockSize,
+		AutoBlockSize:  req.AutoBlockSize,
+		Gamma:          req.Gamma,
+		Seed:           req.Seed,
+		Quantum:        time.Duration(req.QuantumMillis) * time.Millisecond,
+		UserLevel:      req.UserLevel,
+		UserColumn:     req.UserColumn,
+	}
+	if req.Accuracy != nil {
+		q.Accuracy = &aging.AccuracyGoal{Rho: req.Accuracy.Rho, Confidence: req.Accuracy.Confidence}
+	}
+	return q
+}
+
+// wireMode maps the wire's mode names; an unknown name maps to -1, which
+// Server.resolve refuses.
+func wireMode(mode string) core.RangeMode {
+	switch mode {
+	case "tight", "":
+		return core.ModeTight
+	case "loose":
+		return core.ModeLoose
+	case "helper":
+		return core.ModeHelper
+	}
+	return -1
+}
+
+// rangesOf converts wire ranges without validating them; the pipeline
+// refuses a malformed range before anything is charged.
+func rangesOf(rs []RangeSpec) []dp.Range {
+	if rs == nil {
+		return nil
+	}
+	out := make([]dp.Range, len(rs))
+	for i, r := range rs {
+		out[i] = dp.Range{Lo: r.Lo, Hi: r.Hi}
+	}
+	return out
+}
+
+// queryFingerprint computes the cache key for an OpQuery request run as
+// tenant ("" = the single-tenant partition) against the given dataset
+// content version.
+func queryFingerprint(req *Request, tenant string, contentVersion uint64) qcache.Fingerprint {
+	q := wireQuery(req)
+	fp, _ := pipeline.Fingerprint(tenant, &q, contentVersion)
+	return fp
+}
+
+// hashProgramSpec writes every ProgramSpec field, fixed order, after a tag
+// that keeps wire identities apart from the embedded API's.
 func hashProgramSpec(h *qcache.Hasher, ps *ProgramSpec) {
+	h.Str("spec")
 	h.Str(ps.Type)
 	h.Int(ps.Col)
 	h.Int(ps.ColB)
@@ -47,82 +110,13 @@ func hashProgramSpec(h *qcache.Hasher, ps *ProgramSpec) {
 	h.Int(ps.OutputDims)
 }
 
-// hashRanges writes a count-prefixed range list.
-func hashRanges(h *qcache.Hasher, rs []RangeSpec) {
-	h.Int(len(rs))
-	for _, r := range rs {
-		h.F64(r.Lo)
-		h.F64(r.Hi)
+// hashTranslateSpec writes the helper-mode translate spec, the wire's
+// stand-in for a translate closure.
+func hashTranslateSpec(h *qcache.Hasher, ts *TranslateSpec) {
+	h.Bool(ts != nil)
+	if ts != nil {
+		h.Ints(ts.InputDim)
+		h.F64s(ts.Scale)
+		h.F64s(ts.Offset)
 	}
-}
-
-// queryFingerprint computes the cache key for an OpQuery request against
-// the given dataset content version. contentVersion pins the key to the
-// exact data the original answer was computed over: a mutated or
-// re-registered dataset gets a new version, so a stale entry is
-// unreachable by construction — no invalidation ordering to get right.
-// tenant partitions the cache per principal ("" = the single-tenant
-// partition): cross-tenant reuse would be safe by post-processing, but it
-// would let tenant B probe whether tenant A already asked a question.
-func queryFingerprint(req *Request, tenant string, contentVersion uint64) qcache.Fingerprint {
-	h := qcache.NewHasher()
-	h.Int(fingerprintScheme)
-	h.Str(tenant)
-	h.Str(string(OpQuery))
-	h.Str(req.Dataset)
-	h.U64(contentVersion)
-	hashProgramSpec(h, req.Program)
-	h.Str(req.Mode)
-	hashRanges(h, req.OutputRanges)
-	hashRanges(h, req.InputRanges)
-	if req.Translate != nil {
-		h.Bool(true)
-		h.Ints(req.Translate.InputDim)
-		h.F64s(req.Translate.Scale)
-		h.F64s(req.Translate.Offset)
-	} else {
-		h.Bool(false)
-	}
-	h.F64(req.Epsilon)
-	if req.Accuracy != nil {
-		h.Bool(true)
-		h.F64(req.Accuracy.Rho)
-		h.F64(req.Accuracy.Confidence)
-	} else {
-		h.Bool(false)
-	}
-	h.Int(req.BlockSize)
-	h.Int(req.Gamma)
-	h.Bool(req.AutoBlockSize)
-	h.I64(req.Seed)
-	h.I64(req.QuantumMillis)
-	h.Bool(req.UserLevel)
-	h.Int(req.UserColumn)
-	h.F64(req.PercentileLow)
-	h.F64(req.PercentileHigh)
-	return h.Sum()
-}
-
-// sessionFingerprint computes the cache key for an OpSession request: the
-// whole batch is one cache unit, because its ε is distributed and charged
-// atomically across the members.
-func sessionFingerprint(req *Request, tenant string, contentVersion uint64) qcache.Fingerprint {
-	h := qcache.NewHasher()
-	h.Int(fingerprintScheme)
-	h.Str(tenant)
-	h.Str(string(OpSession))
-	h.Str(req.Dataset)
-	h.U64(contentVersion)
-	spec := req.Session
-	h.F64(spec.TotalEpsilon)
-	h.Int(len(spec.Queries))
-	for i := range spec.Queries {
-		q := &spec.Queries[i]
-		hashProgramSpec(h, &q.Program)
-		hashRanges(h, q.OutputRanges)
-		h.Int(q.BlockSize)
-		h.Int(q.Gamma)
-		h.I64(q.Seed)
-	}
-	return h.Sum()
 }

@@ -38,8 +38,6 @@ type RangeSpec struct {
 	Hi float64 `json:"hi"`
 }
 
-func (r RangeSpec) toRange() (dp.Range, error) { return dp.NewRange(r.Lo, r.Hi) }
-
 func rangesToWire(rs []dp.Range) []RangeSpec {
 	out := make([]RangeSpec, len(rs))
 	for i, r := range rs {
@@ -49,16 +47,11 @@ func rangesToWire(rs []dp.Range) []RangeSpec {
 }
 
 func rangesFromWire(rs []RangeSpec) ([]dp.Range, error) {
-	if rs == nil {
-		return nil, nil
-	}
-	out := make([]dp.Range, len(rs))
-	for i, r := range rs {
-		rr, err := r.toRange()
-		if err != nil {
+	out := rangesOf(rs)
+	for i, r := range out {
+		if err := r.Validate(); err != nil {
 			return nil, fmt.Errorf("range %d: %w", i, err)
 		}
-		out[i] = rr
 	}
 	return out, nil
 }

@@ -13,13 +13,13 @@ import (
 	"sync"
 	"time"
 
-	"gupt/internal/aging"
 	"gupt/internal/analytics"
 	"gupt/internal/budget"
 	"gupt/internal/core"
 	"gupt/internal/dataset"
 	"gupt/internal/dp"
 	"gupt/internal/mathutil"
+	"gupt/internal/pipeline"
 	"gupt/internal/qcache"
 	"gupt/internal/ratelimit"
 	"gupt/internal/sandbox"
@@ -138,7 +138,7 @@ type ServerConfig struct {
 // see block data inside chambers and the final private outputs.
 type Server struct {
 	reg      *dataset.Registry
-	mgr      *budget.Manager
+	pipe     pipeline.Pipeline // the query path shared with the embedded API
 	cfg      ServerConfig
 	pool     *WorkerPool // nil when executing locally
 	poolErr  error       // non-nil when WorkerAddrs were set but unreachable
@@ -148,7 +148,6 @@ type Server struct {
 	inflight *telemetry.Inflight       // live query table, for /queries
 	flight   *telemetry.FlightRecorder // recent query flights, for /flight
 	plane    *telemetry.BudgetPlane    // ε burn-down rows, for /budget
-	cache    *qcache.Cache             // noisy-answer cache; nil when disabled
 	limiter  *ratelimit.Limiter        // per-tenant admission gate; nil when tenancy off
 	sched    *scheduler                // deadline-aware admission; nil when disabled
 
@@ -167,8 +166,18 @@ func NewServer(reg *dataset.Registry, cfg ServerConfig) *Server {
 		tel = telemetry.NewRegistry()
 	}
 	s := &Server{
-		reg:      reg,
-		mgr:      budget.NewManager(reg),
+		reg: reg,
+		pipe: pipeline.Pipeline{
+			Reg:          reg,
+			Mgr:          budget.NewManager(reg),
+			Cache:        qcache.New(qcache.Config{MaxEntries: cfg.CacheEntries, TTL: cfg.CacheTTL, Telemetry: tel}),
+			Retries:      cfg.MaxQueryRetries,
+			Timeout:      cfg.QueryTimeout,
+			Quantum:      cfg.DefaultQuantum,
+			BlockTimeout: cfg.BlockTimeout,
+			MaxFailFrac:  cfg.MaxFailFrac,
+			Metrics:      tel,
+		},
 		cfg:      cfg,
 		tel:      tel,
 		stats:    newStatsCollector(tel),
@@ -176,11 +185,15 @@ func NewServer(reg *dataset.Registry, cfg ServerConfig) *Server {
 		inflight: telemetry.NewInflight(tel.Counter("compman.queries_slow")),
 		flight:   telemetry.NewFlightRecorder(cfg.FlightRecorderSize),
 		plane:    telemetry.NewBudgetPlane(tel),
-		cache:    qcache.New(qcache.Config{MaxEntries: cfg.CacheEntries, TTL: cfg.CacheTTL, Telemetry: tel}),
 		conns:    make(map[net.Conn]struct{}),
 	}
-	s.mgr.Instrument(tel)
-	s.mgr.SetBurnDown(s.plane)
+	s.pipe.Journal = s.journalBudgets
+	s.pipe.OnRetry = func(attempt int, err error) {
+		s.stats.recordRetry()
+		s.logf("compman: retrying query (attempt %d): %v", attempt+1, err)
+	}
+	s.pipe.Mgr.Instrument(tel)
+	s.pipe.Mgr.SetBurnDown(s.plane)
 	// Threshold crossings become tamper-evident audit records: "tenant X
 	// fell below a quarter of its quota on Y" is exactly the event an
 	// operator wants on the books before exhaustion, not after.
@@ -208,7 +221,7 @@ func NewServer(reg *dataset.Registry, cfg ServerConfig) *Server {
 	}
 	s.sched = newScheduler(cfg.Sched, tel)
 	if cfg.Tenants != nil {
-		s.mgr.SetQuotas(cfg.Tenants)
+		s.pipe.Mgr.SetQuotas(cfg.Tenants)
 		s.limiter = ratelimit.New()
 	}
 	// The slow-query watchdog flags queries stuck past the deployment's
@@ -264,7 +277,7 @@ func (s *Server) BudgetRows() []telemetry.BudgetRow { return s.plane.Rows() }
 
 // CacheStats snapshots the noisy-answer cache's counters — the /cache
 // admin endpoint's data source. All zeros when caching is disabled.
-func (s *Server) CacheStats() qcache.Stats { return s.cache.Stats() }
+func (s *Server) CacheStats() qcache.Stats { return s.pipe.Cache.Stats() }
 
 // WorkerStats snapshots the per-worker fleet view (in-flight, answered and
 // failed counts, health) — the /workers admin endpoint's data source. Nil
@@ -279,7 +292,7 @@ func (s *Server) WorkerStats() []telemetry.WorkerStatus {
 // InvalidateCache drops every cached answer for the named dataset,
 // returning the count. Mutation paths call it after bumping the dataset's
 // content version; the version bump alone already guarantees correctness.
-func (s *Server) InvalidateCache(dataset string) int { return s.cache.Invalidate(dataset) }
+func (s *Server) InvalidateCache(dataset string) int { return s.pipe.Cache.Invalidate(dataset) }
 
 // Addr returns the address Serve is listening on, or nil before Serve.
 func (s *Server) Addr() net.Addr {
@@ -499,44 +512,63 @@ func (s *Server) admit(tenantID string) (release func(), retryAfter time.Duratio
 	return release, retryAfter, ok
 }
 
-// rateLimited builds the zero-ε rejection for a rate-limit refusal and
-// audits it (with the reason and retry hint): rejections are part of the
-// query record even though no budget moved, so a flood shows up in the
-// books. When the caller started a trace, the refusal gets a span, a ring
-// entry and a flight record too — refused queries are observable queries.
-func (s *Server) rateLimited(tenantID, datasetName string, retryAfter time.Duration, tr *telemetry.Trace) Response {
-	resp := Response{
-		Error:            "rate limited: tenant " + tenantID + " over its admission policy",
-		RetryAfterMillis: maxInt64(retryAfter.Milliseconds(), 1),
-		TraceID:          traceIDOrNew(tr),
+// admitQuery passes a query or session through the tenant's rate limit,
+// then the deadline-aware scheduler. Admitted, it holds both slots until
+// release is called; refused, the response is final and nothing moved.
+// deadline is as for schedule.
+func (s *Server) admitQuery(tenantID string, req *Request, tr *telemetry.Trace) (release func(), deadline time.Time, refusal *Response) {
+	releaseSlot, retryAfter, ok := s.admit(tenantID)
+	if !ok {
+		tr.StartSpan(telemetry.StageSchedDecision).End("rate_limited")
+		return nil, deadline, s.refuse(tenantID, req.Dataset, tr, "rate limited: tenant "+tenantID+" over its admission policy",
+			"rate_limited", "rate_limited", retryHint(retryAfter))
 	}
-	tr.StartSpan(telemetry.StageSchedDecision).End("rate_limited")
-	s.auditRefusalAs(tenantID, datasetName, &resp, "rate_limited", "rate_limited")
-	s.recordRefusedTrace(tr, "rate_limited", "rate_limited", resp.RetryAfterMillis)
+	schedRelease, deadline, refusal := s.schedule(context.Background(), tenantID, req, tr)
+	if refusal != nil {
+		releaseSlot()
+		return nil, deadline, refusal
+	}
+	return func() { schedRelease(); releaseSlot() }, deadline, nil
+}
+
+// refuse builds the final zero-ε response for an admission refusal and
+// puts it on the books: rejections are part of the query record even
+// though no budget moved, so a flood shows up there. The audit record
+// carries the machine-readable reason and the retry hint, so `gupt-cli
+// audit verify` replay sees every refusal with enough context to explain
+// it; a traced query also lands in the ring and the flight recorder, so a
+// refusal is as observable as a served query.
+func (s *Server) refuse(tenantID, datasetName string, tr *telemetry.Trace, msg, outcome, reason string, retryAfterMillis int64) *Response {
+	resp := &Response{Error: msg, RetryAfterMillis: retryAfterMillis}
+	if tr != nil {
+		resp.TraceID = tr.ID
+	} else {
+		resp.TraceID = telemetry.NewTraceID() // untraced paths (sessions) still get an id
+	}
+	if s.cfg.Audit != nil {
+		err := s.cfg.Audit.Append(audit.Record{
+			Type:             audit.TypeQuery,
+			TraceID:          resp.TraceID,
+			Dataset:          datasetName,
+			Tenant:           tenantID,
+			Outcome:          outcome,
+			Reason:           reason,
+			RetryAfterMillis: retryAfterMillis,
+		})
+		if err != nil {
+			s.logf("compman: audit append: %v", err)
+		}
+	}
+	if tr != nil {
+		s.traces.Add(tr, outcome)
+		s.flight.Record(tr, outcome, telemetry.FlightExtra{Reason: reason, RetryAfterMillis: retryAfterMillis})
+	}
 	return resp
 }
 
-// traceIDOrNew returns the trace's id, minting a bare one for paths that
-// run untraced (sessions, direct tests).
-func traceIDOrNew(tr *telemetry.Trace) string {
-	if tr != nil {
-		return tr.ID
-	}
-	return telemetry.NewTraceID()
-}
-
-// recordRefusedTrace publishes a refused query's trace to the ring and the
-// flight recorder, so a refusal is as observable as a served query.
-func (s *Server) recordRefusedTrace(tr *telemetry.Trace, outcome, reason string, retryAfterMillis int64) {
-	if tr == nil {
-		return
-	}
-	s.traces.Add(tr, outcome)
-	s.flight.Record(tr, outcome, telemetry.FlightExtra{
-		Reason:           reason,
-		RetryAfterMillis: retryAfterMillis,
-	})
-}
+// retryHint converts a retry-after duration to the wire's milliseconds,
+// never less than one.
+func retryHint(d time.Duration) int64 { return max(d.Milliseconds(), 1) }
 
 // schedule passes the request through the deadline-aware scheduler. A nil
 // second return means the query was admitted and holds a slot until
@@ -573,42 +605,21 @@ func (s *Server) schedule(ctx context.Context, tenantID string, req *Request, tr
 		return release, deadline, nil
 	case schedBusy:
 		decision.End(telemetry.StatusRefusedBusy)
-		resp := Response{
-			Error:            "server overloaded: query queue is full",
-			RetryAfterMillis: maxInt64(retryAfter.Milliseconds(), 1),
-			TraceID:          traceIDOrNew(tr),
-		}
 		s.stats.recordOverloaded()
-		s.auditRefusalAs(tenantID, req.Dataset, &resp, "overloaded", "queue_full")
-		s.recordRefusedTrace(tr, "overloaded", "queue_full", resp.RetryAfterMillis)
-		return nil, deadline, &resp
+		return nil, deadline, s.refuse(tenantID, req.Dataset, tr, "server overloaded: query queue is full",
+			"overloaded", "queue_full", retryHint(retryAfter))
 	case schedExpired:
 		decision.End(telemetry.StatusRefusedExpired)
-		resp := Response{
-			Error:            "deadline unmeetable: query would expire before a slot frees up",
-			RetryAfterMillis: maxInt64(retryAfter.Milliseconds(), 1),
-			TraceID:          traceIDOrNew(tr),
-		}
 		s.stats.recordOverloaded()
-		s.auditRefusalAs(tenantID, req.Dataset, &resp, "overloaded", "deadline_unmeetable")
-		s.recordRefusedTrace(tr, "overloaded", "deadline_unmeetable", resp.RetryAfterMillis)
-		return nil, deadline, &resp
+		return nil, deadline, s.refuse(tenantID, req.Dataset, tr, "deadline unmeetable: query would expire before a slot frees up",
+			"overloaded", "deadline_unmeetable", retryHint(retryAfter))
 	default: // schedCancelled: the connection went away; the response is unsendable
 		decision.End(telemetry.StatusCancelled)
-		resp := Response{Error: "query cancelled while queued", TraceID: traceIDOrNew(tr)}
 		// The client cannot see this response, but the books still should:
 		// a cancelled-while-queued query is a scheduler refusal too.
-		s.auditRefusalAs(tenantID, req.Dataset, &resp, "cancelled", "cancelled_while_queued")
-		s.recordRefusedTrace(tr, "cancelled", "cancelled_while_queued", 0)
-		return nil, deadline, &resp
+		return nil, deadline, s.refuse(tenantID, req.Dataset, tr, "query cancelled while queued",
+			"cancelled", "cancelled_while_queued", 0)
 	}
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func (s *Server) dispatchAs(tenantID string, req *Request) Response {
@@ -643,16 +654,11 @@ func (s *Server) dispatchAs(tenantID string, req *Request) Response {
 		if refusal := s.authorizeDataset(tenantID, req.Dataset); refusal != nil {
 			return *refusal
 		}
-		releaseSlot, retryAfter, ok := s.admit(tenantID)
-		if !ok {
-			return s.rateLimited(tenantID, req.Dataset, retryAfter, nil)
-		}
-		defer releaseSlot()
-		schedRelease, deadline, refusal := s.schedule(context.Background(), tenantID, req, nil)
+		release, deadline, refusal := s.admitQuery(tenantID, req, nil)
 		if refusal != nil {
 			return *refusal
 		}
-		defer schedRelease()
+		defer release()
 		start := time.Now()
 		resp := s.handleSession(req, tenantID, deadline)
 		resp.TraceID = telemetry.NewTraceID()
@@ -662,7 +668,7 @@ func (s *Server) dispatchAs(tenantID string, req *Request) Response {
 		if refusal := s.authorizeDataset(tenantID, req.Dataset); refusal != nil {
 			return *refusal
 		}
-		rem, err := s.mgr.Remaining(req.Dataset)
+		rem, err := s.pipe.Mgr.Remaining(req.Dataset)
 		if err != nil {
 			return errResponse(err)
 		}
@@ -680,16 +686,11 @@ func (s *Server) dispatchAs(tenantID string, req *Request) Response {
 		// spans and lands in the ring and the flight recorder.
 		tr := telemetry.NewTrace(s.tel, telemetry.NewTraceID(), req.Dataset)
 		tr.Tenant = tenantID
-		releaseSlot, retryAfter, ok := s.admit(tenantID)
-		if !ok {
-			return s.rateLimited(tenantID, req.Dataset, retryAfter, tr)
-		}
-		defer releaseSlot()
-		schedRelease, deadline, refusal := s.schedule(context.Background(), tenantID, req, tr)
+		release, deadline, refusal := s.admitQuery(tenantID, req, tr)
 		if refusal != nil {
 			return *refusal
 		}
-		defer schedRelease()
+		defer release()
 		start := time.Now()
 		inflight := s.tel.Gauge("compman.queries_inflight")
 		inflight.Inc()
@@ -793,28 +794,6 @@ func (s *Server) auditRecordAs(tenantID, dataset string, resp *Response, outcome
 	}
 }
 
-// auditRefusalAs is auditRecordAs for refusals: no latency bucket (nothing
-// ran), but the machine-readable reason and the retry hint the client was
-// given, so `gupt-cli audit verify` replay sees every refusal with enough
-// context to explain it.
-func (s *Server) auditRefusalAs(tenantID, dataset string, resp *Response, outcome, reason string) {
-	if s.cfg.Audit == nil {
-		return
-	}
-	err := s.cfg.Audit.Append(audit.Record{
-		Type:             audit.TypeQuery,
-		TraceID:          resp.TraceID,
-		Dataset:          dataset,
-		Tenant:           tenantID,
-		Outcome:          outcome,
-		Reason:           reason,
-		RetryAfterMillis: resp.RetryAfterMillis,
-	})
-	if err != nil {
-		s.logf("compman: audit append: %v", err)
-	}
-}
-
 // logTrace emits the opt-in slow-query trace line. Raw per-stage durations
 // leave the process ONLY through this path, and only when the operator
 // explicitly configured TraceLogger — see SECURITY.md on why that log is
@@ -844,10 +823,10 @@ func (s *Server) logTrace(tr *telemetry.Trace) {
 	}
 }
 
-// handleQuery is the trusted query path: resolve program and ranges, settle
-// the privacy charge against the platform-owned ledger, then run the
-// engine. The budget is charged before execution so an analyst cannot
-// observe partial results of a query that would overdraw.
+// handleQuery is the trusted query path: it converts the request to the
+// pipeline's canonical query, which settles the privacy charge before the
+// engine runs. The server adds the resolution of the wire program and its
+// chambers on a cache miss, and the client's deadline.
 //
 // tenantID is the authenticated principal ("" = single-tenant mode): it
 // partitions the answer cache, attributes the ledger charge, and layers the
@@ -857,73 +836,66 @@ func (s *Server) logTrace(tr *telemetry.Trace) {
 // none); the engine run is bounded by it on top of the server's own
 // QueryTimeout.
 func (s *Server) handleQuery(req *Request, tenantID string, tr *telemetry.Trace, deadline time.Time) Response {
-	// Admission covers everything before the charge: dataset resolution,
-	// program and range validation, chamber selection, block-size planning.
-	// End keeps only its first call, so the deferred error status fires
-	// only when an early return skips the explicit ok below.
-	admission := tr.StartSpan(telemetry.StageAdmission)
-	defer admission.End(telemetry.StatusError)
-
-	reg, err := s.reg.Lookup(req.Dataset)
-	if err != nil {
-		return errResponse(err)
-	}
 	if req.Program == nil {
 		return Response{Error: "query missing program"}
 	}
-
-	// Noisy-answer cache: a repeat of a previously released query — same
-	// distribution-relevant fields, same dataset content version — is
-	// answered with the *same* already-published release at zero additional
-	// ε (DP is closed under post-processing). The hit is journaled as a
-	// cache_hit ledger record so the books show the re-release, but the
-	// accountant is never debited. Blocks are never scheduled on this path.
-	fp := queryFingerprint(req, tenantID, reg.ContentVersion())
-	if cached, ok := s.cache.Get(fp); ok {
-		resp := cached.(Response)
-		resp.CacheHit = true
-		resp.EpsilonCharged = 0
-		if err := s.mgr.CacheHitAs(tenantID, req.Dataset, fmt.Sprintf("%s:%s", req.Dataset, req.Program.Type)); err != nil {
-			s.logf("compman: recording cache hit: %v", err)
-		}
-		admission.End(telemetry.StatusOK)
+	q := wireQuery(req)
+	q.Resolve = func(q *pipeline.Query) error { return s.resolve(q, req, tr) }
+	ctx, cancel := answerBy(deadline)
+	defer cancel()
+	res, charged, err := s.pipe.Run(ctx, tenantID, &q, tr)
+	if err != nil {
+		// A run that failed after its charge settled still consumed the ε
+		// (§6.2 — aborts never refund): report the failure with its cost.
+		resp := errResponse(err)
+		resp.EpsilonCharged = charged
 		return resp
 	}
+	return Response{
+		OK:              true,
+		Output:          res.Output,
+		EpsilonSpent:    res.EpsilonSpent,
+		EpsilonCharged:  charged,
+		EffectiveRanges: rangesToWire(res.EffectiveRanges),
+		NumBlocks:       res.NumBlocks,
+		BlockSize:       res.BlockSize,
+		FailedBlocks:    res.FailedBlocks,
+		CacheHit:        res.CacheHit,
+	}
+}
 
+// answerBy bounds a request's engine runs by the client's answer-by time
+// (zero: none).
+func answerBy(deadline time.Time) (context.Context, context.CancelFunc) {
+	if deadline.IsZero() {
+		return context.Background(), func() {}
+	}
+	return context.WithDeadline(context.Background(), deadline)
+}
+
+// resolve completes a wire query after a cache miss: the program, its
+// translate function, and the chambers its blocks run in.
+func (s *Server) resolve(q *pipeline.Query, req *Request, tr *telemetry.Trace) error {
+	if q.Mode < 0 {
+		return fmt.Errorf("compman: unknown mode %q", req.Mode)
+	}
 	program, isBinary, err := req.Program.resolve()
 	if err != nil {
-		return errResponse(err)
-	}
-	outputDims := req.Program.OutputDims
-	if !isBinary {
-		outputDims = program.OutputDims()
-	}
-
-	spec, err := s.buildRangeSpec(req, reg, outputDims)
-	if err != nil {
-		return errResponse(err)
-	}
-
-	opts := core.Options{
-		BlockSize:    req.BlockSize,
-		Gamma:        req.Gamma,
-		Seed:         req.Seed,
-		Quantum:      s.cfg.DefaultQuantum,
-		BlockTimeout: s.cfg.BlockTimeout,
-		MaxFailFrac:  s.cfg.MaxFailFrac,
-		UserLevel:    req.UserLevel,
-		UserColumn:   req.UserColumn,
-	}
-	if req.QuantumMillis > 0 {
-		opts.Quantum = time.Duration(req.QuantumMillis) * time.Millisecond
+		return err
 	}
 	if isBinary {
 		// Uploaded executables always run under subprocess isolation; the
 		// in-process path is reserved for the platform's own library.
 		path, args := req.Program.Path, req.Program.Args
 		program = binaryProgram{spec: *req.Program}
-		opts.NewChamber = func(_ analytics.Program, pol sandbox.Policy) sandbox.Chamber {
+		q.Chambers = func(_ analytics.Program, pol sandbox.Policy) sandbox.Chamber {
 			return &sandbox.Subprocess{Path: path, Args: args, Policy: pol, ScratchRoot: s.cfg.ScratchRoot}
+		}
+	}
+	q.Program = program
+	if q.Mode == core.ModeHelper {
+		if q.Translate, err = req.Translate.toFunc(program.OutputDims()); err != nil {
+			return err
 		}
 	}
 
@@ -931,7 +903,7 @@ func (s *Server) handleQuery(req *Request, tenantID string, tr *telemetry.Trace,
 	// workers resolve the same program spec (and run binaries under their
 	// local subprocess chambers), so this overrides any local factory.
 	if s.poolErr != nil {
-		return errResponse(fmt.Errorf("compman: worker pool unavailable: %w", s.poolErr))
+		return fmt.Errorf("compman: worker pool unavailable: %w", s.poolErr)
 	}
 	if s.pool != nil {
 		progSpec := *req.Program
@@ -939,167 +911,17 @@ func (s *Server) handleQuery(req *Request, tenantID string, tr *telemetry.Trace,
 		if tr != nil {
 			traceID = tr.ID
 		}
-		opts.NewChamber = func(_ analytics.Program, pol sandbox.Policy) sandbox.Chamber {
+		q.Chambers = func(_ analytics.Program, pol sandbox.Policy) sandbox.Chamber {
 			return s.pool.Chamber(WorkSpec{
 				Program:       progSpec,
 				QuantumMillis: pol.Quantum.Milliseconds(),
 				TraceID:       traceID,
 			}, tr)
 		}
-		opts.Parallelism = s.pool.Parallelism()
+		q.Parallelism = s.pool.Parallelism()
 	}
-	opts.NewChamber = s.wrapChamberFactory(opts.NewChamber)
-
-	data := reg.Private.Matrix()
-
-	// Auto block size (paper §4.3) from the aged sample, if requested.
-	if req.AutoBlockSize && req.BlockSize == 0 {
-		if !reg.HasAged() {
-			return errResponse(aging.ErrNoAgedData)
-		}
-		epsForPlan := req.Epsilon
-		if epsForPlan <= 0 {
-			epsForPlan = 1 // planning default when accuracy mode resolves ε later
-		}
-		planRanges := spec.Output
-		if planRanges == nil {
-			return Response{Error: "autoBlockSize requires output ranges"}
-		}
-		choice, err := aging.OptimizeBlockSize(program, reg.Aged.Rows(), data.NumRows(), epsForPlan, planRanges)
-		if err != nil {
-			return errResponse(err)
-		}
-		opts.BlockSize = choice.BlockSize
-	}
-
-	admission.End(telemetry.StatusOK)
-
-	// Settle the privacy charge. Any successful charge is journaled before
-	// the computation runs, so a crash can never refund it.
-	charge := tr.StartSpan(telemetry.StageBudget)
-	defer charge.End(telemetry.StatusError)
-	label := fmt.Sprintf("%s:%s", req.Dataset, req.Program.Type)
-	switch {
-	case req.Epsilon > 0 && req.Accuracy != nil:
-		return Response{Error: "set either epsilon or accuracy, not both"}
-	case req.Epsilon > 0:
-		if err := s.mgr.ChargeAs(tenantID, req.Dataset, label, req.Epsilon); err != nil {
-			return errResponse(err)
-		}
-		s.journalBudgets()
-		opts.Epsilon = req.Epsilon
-	case req.Accuracy != nil:
-		if spec.Mode != core.ModeTight && spec.Mode != core.ModeLoose {
-			return Response{Error: "accuracy goals need output ranges (tight or loose mode)"}
-		}
-		goal := aging.AccuracyGoal{Rho: req.Accuracy.Rho, Confidence: req.Accuracy.Confidence}
-		bs := opts.BlockSize
-		if bs == 0 {
-			bs = core.DefaultBlockSize(data.NumRows())
-		}
-		est, err := s.mgr.ChargeForAccuracyAs(tenantID, req.Dataset, label, program, bs, spec.Output, goal)
-		if err != nil {
-			return errResponse(err)
-		}
-		s.journalBudgets()
-		opts.Epsilon = est.Epsilon
-		opts.BlockSize = est.BlockSize
-	default:
-		return Response{Error: "query needs a positive epsilon or an accuracy goal"}
-	}
-	charge.End(telemetry.StatusOK)
-
-	// The engine stages (partition → blocks → aggregation → noising) span
-	// themselves inside core.Run.
-	opts.Metrics = s.tel
-	opts.Trace = tr
-
-	res, err := s.runCharged(program, data, spec, opts, deadline)
-	if err != nil {
-		// The charge is already settled; failed runs still consumed budget
-		// conservatively (§6.2 — aborts never refund). Report the failure
-		// along with the ε it cost.
-		resp := errResponse(err)
-		resp.EpsilonCharged = opts.Epsilon
-		return resp
-	}
-
-	release := tr.StartSpan(telemetry.StageRelease)
-	resp := Response{
-		OK:              true,
-		Output:          res.Output,
-		EpsilonSpent:    res.EpsilonSpent,
-		EpsilonCharged:  res.EpsilonSpent,
-		EffectiveRanges: rangesToWire(res.EffectiveRanges),
-		NumBlocks:       res.NumBlocks,
-		BlockSize:       res.BlockSize,
-		FailedBlocks:    res.FailedBlocks,
-	}
-	// Fill the cache with clean releases only: a degraded answer (blocks
-	// substituted) is safe to re-serve but pins the degradation — a repeat
-	// after the fault cleared should get a fresh, full-quality run. The
-	// stored value has CacheHit unset and TraceID empty; each hit gets its
-	// own trace id and the flag set on its own copy.
-	if resp.FailedBlocks == 0 {
-		s.cache.Put(fp, req.Dataset, resp, respCacheSize(&resp))
-	}
-	release.End(telemetry.StatusOK)
-	return resp
-}
-
-// respCacheSize approximates one cached response's in-memory footprint for
-// the qcache.bytes gauge: the float payloads plus a fixed struct overhead.
-func respCacheSize(resp *Response) int64 {
-	n := int64(160) // struct + map/list bookkeeping, approximate
-	n += int64(8 * len(resp.Output))
-	n += int64(16 * len(resp.EffectiveRanges))
-	for i := range resp.Session {
-		n += 64 + int64(8*len(resp.Session[i].Output)) + int64(len(resp.Session[i].Error))
-	}
-	return n
-}
-
-// runCharged executes the engine for a query whose privacy charge has
-// already settled, bounded by the configured query deadline, the client's
-// answer-by deadline (when set), and the retry budget. Retries are
-// deterministic (the seed is perturbed per attempt so a seed-dependent
-// failure is not replayed verbatim) and never re-charge: at most one
-// output is ever released for the single ε spent.
-func (s *Server) runCharged(program analytics.Program, data mathutil.Matrix, spec core.RangeSpec, opts core.Options, deadline time.Time) (*core.Result, error) {
-	ctx := context.Background()
-	if s.cfg.QueryTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.QueryTimeout)
-		defer cancel()
-	}
-	if !deadline.IsZero() {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, deadline)
-		defer cancel()
-	}
-	retries := s.cfg.MaxQueryRetries
-	if retries < 0 {
-		retries = 0 // a negative config must still execute the charged query once
-	}
-	var res *core.Result
-	var err error
-	for attempt := 0; attempt <= retries; attempt++ {
-		runOpts := opts
-		if attempt > 0 {
-			runOpts.Seed = opts.Seed + int64(attempt)*0x9E3779B9
-			s.stats.recordRetry()
-			s.logf("compman: retrying query (attempt %d): %v", attempt+1, err)
-		}
-		res, err = core.RunMatrix(ctx, program, data, spec, runOpts)
-		if err == nil {
-			return res, nil
-		}
-		if ctx.Err() != nil {
-			// The query deadline expired; further attempts cannot finish.
-			return nil, fmt.Errorf("compman: query deadline: %w", err)
-		}
-	}
-	return nil, err
+	q.Chambers = s.wrapChamberFactory(q.Chambers)
+	return nil
 }
 
 // wrapChamberFactory applies the configured ChamberWrapper around a
@@ -1118,128 +940,54 @@ func (s *Server) wrapChamberFactory(base func(analytics.Program, sandbox.Policy)
 	}
 }
 
-// handleSession runs a §5.2 budget-distributed batch: ε allocated across
-// the queries in proportion to their noise scales, the total charged
-// atomically before anything runs. tenantID attributes the charge and
-// partitions the session cache ("" = single-tenant mode).
+// handleSession runs a §5.2 budget-distributed batch through the pipeline:
+// ε allocated across the queries in proportion to their noise scales, the
+// total charged atomically before anything runs. tenantID attributes the
+// charge and partitions the session cache ("" = single-tenant mode).
+// Members run on the server's own chambers, never the worker pool.
 func (s *Server) handleSession(req *Request, tenantID string, deadline time.Time) Response {
 	spec := req.Session
 	if spec == nil {
 		return Response{Error: "session op missing payload"}
 	}
-	if len(spec.Queries) == 0 {
-		return Response{Error: "empty session"}
-	}
-	reg, err := s.reg.Lookup(req.Dataset)
-	if err != nil {
-		return errResponse(err)
-	}
-
-	// Sessions cache as one unit — their ε is distributed and charged
-	// atomically, so the repeat of an identical batch re-releases the whole
-	// already-published result set at zero additional ε.
-	fp := sessionFingerprint(req, tenantID, reg.ContentVersion())
-	if cached, ok := s.cache.Get(fp); ok {
-		resp := cached.(Response)
-		resp.CacheHit = true
-		resp.EpsilonCharged = 0
-		label := fmt.Sprintf("session:%s:%d-queries", req.Dataset, len(spec.Queries))
-		if err := s.mgr.CacheHitAs(tenantID, req.Dataset, label); err != nil {
-			s.logf("compman: recording cache hit: %v", err)
-		}
-		return resp
-	}
-
-	n := reg.Private.NumRows()
-
-	type member struct {
-		program analytics.Program
-		ranges  []dp.Range
-		beta    int
-	}
-	members := make([]member, len(spec.Queries))
-	zetas := make([]float64, len(spec.Queries))
-	for i, q := range spec.Queries {
-		program, isBinary, err := q.Program.resolve()
+	sess := pipeline.Session{Dataset: req.Dataset, Epsilon: spec.TotalEpsilon, Members: make([]pipeline.Query, len(spec.Queries))}
+	for i := range spec.Queries {
+		m := &spec.Queries[i]
+		program, isBinary, err := m.Program.resolve()
 		if err != nil {
 			return errResponse(fmt.Errorf("session query %d: %w", i, err))
 		}
 		if isBinary {
 			return Response{Error: fmt.Sprintf("session query %d: binary programs are not supported in sessions", i)}
 		}
-		ranges, err := rangesFromWire(q.OutputRanges)
-		if err != nil {
-			return errResponse(fmt.Errorf("session query %d: %w", i, err))
+		sess.Members[i] = pipeline.Query{
+			Dataset:      req.Dataset,
+			Program:      program,
+			Name:         m.Program.Type,
+			Identity:     func(h *qcache.Hasher) bool { hashProgramSpec(h, &m.Program); return true },
+			OutputRanges: rangesOf(m.OutputRanges),
+			BlockSize:    m.BlockSize,
+			Gamma:        m.Gamma,
+			Seed:         m.Seed,
+			Chambers:     s.wrapChamberFactory(nil),
 		}
-		if len(ranges) != program.OutputDims() {
-			return Response{Error: fmt.Sprintf("session query %d: %d ranges for %d output dims",
-				i, len(ranges), program.OutputDims())}
-		}
-		beta := q.BlockSize
-		if beta == 0 {
-			beta = core.DefaultBlockSize(n)
-		}
-		z, err := budget.Zeta(ranges, beta, n)
-		if err != nil {
-			return errResponse(fmt.Errorf("session query %d: %w", i, err))
-		}
-		members[i] = member{program: program, ranges: ranges, beta: beta}
-		zetas[i] = z
 	}
-	alloc, err := budget.Distribute(spec.TotalEpsilon, zetas)
+	ctx, cancel := answerBy(deadline)
+	defer cancel()
+	rel, err := s.pipe.RunSession(ctx, tenantID, &sess)
 	if err != nil {
 		return errResponse(err)
 	}
-
-	label := fmt.Sprintf("session:%s:%d-queries", req.Dataset, len(spec.Queries))
-	if err := s.mgr.ChargeAs(tenantID, req.Dataset, label, spec.TotalEpsilon); err != nil {
-		return errResponse(err)
+	resp := Response{OK: true, Session: make([]SessionResult, len(rel.Results)), CacheHit: rel.CacheHit}
+	if !rel.CacheHit {
+		resp.EpsilonCharged = spec.TotalEpsilon
 	}
-	s.journalBudgets()
-
-	// The whole session's ε is already charged; a query that fails from
-	// here on reports its error in its slot while the rest of the batch
-	// still runs. Aborting the batch would waste the survivors' budget —
-	// and refunding any of it would reopen the §6.2 attack.
-	data := reg.Private.Matrix()
-	results := make([]SessionResult, len(members))
-	for i, m := range members {
-		res, err := s.runCharged(m.program, data,
-			core.RangeSpec{Mode: core.ModeTight, Output: m.ranges},
-			core.Options{
-				Epsilon:      alloc[i],
-				BlockSize:    m.beta,
-				Gamma:        spec.Queries[i].Gamma,
-				Seed:         spec.Queries[i].Seed,
-				Quantum:      s.cfg.DefaultQuantum,
-				BlockTimeout: s.cfg.BlockTimeout,
-				MaxFailFrac:  s.cfg.MaxFailFrac,
-				NewChamber:   s.wrapChamberFactory(nil),
-				Metrics:      s.tel,
-			}, deadline)
-		if err != nil {
-			results[i] = SessionResult{Error: err.Error(), EpsilonSpent: alloc[i]}
+	for i, res := range rel.Results {
+		if err := rel.Errs[i]; err != nil {
+			resp.Session[i] = SessionResult{Error: err.Error(), EpsilonSpent: rel.Alloc[i]}
 			continue
 		}
-		results[i] = SessionResult{
-			Output:       res.Output,
-			EpsilonSpent: res.EpsilonSpent,
-			FailedBlocks: res.FailedBlocks,
-		}
-	}
-	resp := Response{OK: true, Session: results, EpsilonCharged: spec.TotalEpsilon}
-	// Cache only sessions where every member released cleanly, same stance
-	// as single queries: re-serving a partially failed batch would pin the
-	// failures.
-	clean := true
-	for i := range results {
-		if results[i].Error != "" || results[i].FailedBlocks > 0 {
-			clean = false
-			break
-		}
-	}
-	if clean {
-		s.cache.Put(fp, req.Dataset, resp, respCacheSize(&resp))
+		resp.Session[i] = SessionResult{Output: res.Output, EpsilonSpent: res.EpsilonSpent, FailedBlocks: res.FailedBlocks}
 	}
 	return resp
 }
@@ -1273,7 +1021,7 @@ func (s *Server) handleRegister(req *Request) Response {
 	// A (re-)registered dataset starts at a fresh content version, so old
 	// cache entries are already unreachable; dropping them eagerly just
 	// reclaims the memory.
-	s.cache.Invalidate(spec.Name)
+	s.pipe.Cache.Invalidate(spec.Name)
 	if r, err := s.reg.Lookup(spec.Name); err == nil {
 		s.plane.Seed("", spec.Name, r.Accountant.Spent(), r.Accountant.Total())
 	}
@@ -1292,42 +1040,6 @@ func (s *Server) journalBudgets() {
 	if err := s.reg.SaveBudgets(s.cfg.StatePath); err != nil {
 		s.logf("compman: journaling budgets: %v", err)
 	}
-}
-
-func (s *Server) buildRangeSpec(req *Request, reg *dataset.Registered, outputDims int) (core.RangeSpec, error) {
-	outRanges, err := rangesFromWire(req.OutputRanges)
-	if err != nil {
-		return core.RangeSpec{}, err
-	}
-	inRanges, err := rangesFromWire(req.InputRanges)
-	if err != nil {
-		return core.RangeSpec{}, err
-	}
-	if inRanges == nil {
-		inRanges = reg.Private.Ranges() // data-owner-registered bounds
-	}
-	spec := core.RangeSpec{
-		PercentileLow:  req.PercentileLow,
-		PercentileHigh: req.PercentileHigh,
-	}
-	switch req.Mode {
-	case "tight", "":
-		spec.Mode, spec.Output = core.ModeTight, outRanges
-	case "loose":
-		spec.Mode, spec.Output = core.ModeLoose, outRanges
-	case "helper":
-		translate, err := req.Translate.toFunc(outputDims)
-		if err != nil {
-			return core.RangeSpec{}, err
-		}
-		if translate == nil {
-			return core.RangeSpec{}, errors.New("compman: helper mode needs a translate spec")
-		}
-		spec.Mode, spec.Input, spec.Translate = core.ModeHelper, inRanges, translate
-	default:
-		return core.RangeSpec{}, fmt.Errorf("compman: unknown mode %q", req.Mode)
-	}
-	return spec, nil
 }
 
 // binaryProgram satisfies analytics.Program for uploaded executables; Run is

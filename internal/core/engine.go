@@ -172,7 +172,7 @@ func RunMatrix(ctx context.Context, program analytics.Program, m mathutil.Matrix
 	if outputDims <= 0 {
 		return nil, fmt.Errorf("core: program %q declares %d output dims", program.Name(), outputDims)
 	}
-	if err := spec.validate(inputDims, outputDims); err != nil {
+	if err := spec.Validate(inputDims, outputDims); err != nil {
 		return nil, err
 	}
 

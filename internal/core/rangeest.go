@@ -73,8 +73,10 @@ func (s RangeSpec) percentilePair() (float64, float64) {
 	return lo, hi
 }
 
-// validate checks the spec against the program's dimensions.
-func (s RangeSpec) validate(inputDims, outputDims int) error {
+// Validate checks the spec against the data's and the program's
+// dimensions. RunMatrix runs it first; callers that charge a budget before
+// running call it before the charge, so a malformed spec costs nothing.
+func (s RangeSpec) Validate(inputDims, outputDims int) error {
 	switch s.Mode {
 	case ModeTight, ModeLoose:
 		if len(s.Output) != outputDims {
@@ -91,6 +93,11 @@ func (s RangeSpec) validate(inputDims, outputDims int) error {
 		}
 		if s.Input != nil && len(s.Input) != inputDims {
 			return fmt.Errorf("%w: %s got %d input ranges for %d input dims", ErrRangeSpec, s.Mode, len(s.Input), inputDims)
+		}
+		for i, r := range s.Input {
+			if err := r.Validate(); err != nil {
+				return fmt.Errorf("%w: input dim %d: %v", ErrRangeSpec, i, err)
+			}
 		}
 	default:
 		return fmt.Errorf("%w: unknown mode %d", ErrRangeSpec, int(s.Mode))

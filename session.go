@@ -5,9 +5,7 @@ import (
 	"errors"
 	"fmt"
 
-	"gupt/internal/budget"
-	"gupt/internal/core"
-	"gupt/internal/qcache"
+	"gupt/internal/pipeline"
 )
 
 // Session plans a batch of queries against one dataset under a single
@@ -25,42 +23,33 @@ import (
 //
 // Queries added to a session must use Tight or Loose mode (the noise-scale
 // weight ζ is computed from their output ranges) and must not set their own
-// Epsilon or Accuracy — the session owns the budget.
+// Epsilon, Accuracy or AutoBlockSize — the session owns the budget.
 type Session struct {
 	platform *Platform
-	dataset  string
-	budget   float64
-	queries  []Query
+	plan     pipeline.Session
 }
 
 // NewSession starts a session holding totalEpsilon for the named dataset.
 // The budget is not charged until Run.
 func (p *Platform) NewSession(dataset string, totalEpsilon float64) *Session {
-	return &Session{platform: p, dataset: dataset, budget: totalEpsilon}
+	return &Session{platform: p, plan: pipeline.Session{Dataset: dataset, Epsilon: totalEpsilon}}
 }
 
-// Add appends a query to the session plan. The query's Dataset, Epsilon and
-// Accuracy fields must be unset; everything else (mode, ranges, block size,
-// resampling, seed) is per-query.
+// Add appends a query to the session plan. The query's Dataset, Epsilon,
+// Accuracy and AutoBlockSize fields must be unset: the session owns the
+// budget, and it splits it by noise scales computed from each query's
+// block size before anything runs. Everything else (mode, ranges, block
+// size, resampling, seed, privacy unit) is per-query.
 func (s *Session) Add(q Query) error {
-	if q.Dataset != "" && q.Dataset != s.dataset {
-		return fmt.Errorf("gupt: session is bound to %q, query names %q", s.dataset, q.Dataset)
+	if q.Dataset != "" && q.Dataset != s.plan.Dataset {
+		return fmt.Errorf("gupt: session is bound to %q, query names %q", s.plan.Dataset, q.Dataset)
 	}
-	if q.Epsilon != 0 || q.Accuracy != nil {
-		return errors.New("gupt: session queries must not set Epsilon or Accuracy; the session distributes its own budget")
+	q.Dataset = s.plan.Dataset
+	member := q.canonical()
+	if err := pipeline.CheckMember(&member); err != nil {
+		return err
 	}
-	if q.Program == nil {
-		return errors.New("gupt: session query needs a program")
-	}
-	if q.Mode != Tight && q.Mode != Loose {
-		return errors.New("gupt: session queries need output ranges (Tight or Loose mode)")
-	}
-	if len(q.OutputRanges) != q.Program.OutputDims() {
-		return fmt.Errorf("gupt: query has %d output ranges for %d output dims",
-			len(q.OutputRanges), q.Program.OutputDims())
-	}
-	q.Dataset = s.dataset
-	s.queries = append(s.queries, q)
+	s.plan.Members = append(s.plan.Members, member)
 	return nil
 }
 
@@ -68,32 +57,13 @@ func (s *Session) Add(q Query) error {
 // charging it. Allocations are proportional to each query's noise scale
 // ζ = Σ outputWidth · β / n.
 func (s *Session) Plan() ([]float64, error) {
-	if len(s.queries) == 0 {
-		return nil, errors.New("gupt: empty session")
-	}
-	reg, err := s.platform.reg.Lookup(s.dataset)
-	if err != nil {
-		return nil, err
-	}
-	n := reg.Private.NumRows()
-	zetas := make([]float64, len(s.queries))
-	for i, q := range s.queries {
-		beta := q.BlockSize
-		if beta == 0 {
-			beta = core.DefaultBlockSize(n)
-		}
-		z, err := budget.Zeta(q.OutputRanges, beta, n)
-		if err != nil {
-			return nil, fmt.Errorf("gupt: session query %d: %w", i, err)
-		}
-		zetas[i] = z
-	}
-	return budget.Distribute(s.budget, zetas)
+	return s.platform.pipe.Plan(&s.plan)
 }
 
 // Run charges the session budget (atomically: all-or-nothing against the
 // dataset's lifetime ledger) and executes every query at its allocated ε,
-// returning results in Add order.
+// returning results in Add order. With EnableCache, an exact repeat of a
+// released session is re-served whole at zero ε.
 //
 // Failures degrade gracefully: once the charge has settled, a query that
 // fails mid-session leaves a nil slot in the results and the remaining
@@ -102,89 +72,15 @@ func (s *Session) Plan() ([]float64, error) {
 // returned error joins every per-query failure (nil when all succeeded);
 // the session's full budget is consumed either way.
 func (s *Session) Run(ctx context.Context) ([]*Result, error) {
-	alloc, err := s.Plan()
+	rel, err := s.platform.pipe.RunSession(ctx, "", &s.plan)
 	if err != nil {
 		return nil, err
 	}
-	label := fmt.Sprintf("session:%s:%d-queries", s.dataset, len(s.queries))
-
-	// Noisy-answer cache: the session's ε is charged atomically, so the
-	// batch caches (and re-releases) as one unit. A hit re-serves every
-	// member's published answer and charges nothing.
-	var fp qcache.Fingerprint
-	cachable := false
-	if reg, err := s.platform.reg.Lookup(s.dataset); err == nil {
-		fp, cachable = s.platform.sessionFingerprint(s, reg.ContentVersion())
-	}
-	if cachable {
-		if v, ok := s.platform.cache.Get(fp); ok {
-			cached := v.([]Result)
-			if err := s.platform.mgr.CacheHit(s.dataset, label); err != nil {
-				return nil, fmt.Errorf("gupt: recording cache hit: %w", err)
-			}
-			out := make([]*Result, len(cached))
-			for i := range cached {
-				r := cached[i]
-				r.CacheHit = true
-				out[i] = &r
-			}
-			return out, nil
-		}
-	}
-
-	// One atomic charge for the whole session; per-query epsilons then flow
-	// from the session's own pot, so a mid-session failure cannot leave the
-	// ledger inconsistent with what was released.
-	if err := s.platform.mgr.Charge(s.dataset, label, s.budget); err != nil {
-		return nil, err
-	}
-
-	results := make([]*Result, len(s.queries))
 	var errs []error
-	for i, q := range s.queries {
-		q.Epsilon = alloc[i]
-		reg, err := s.platform.reg.Lookup(s.dataset)
+	for i, err := range rel.Errs {
 		if err != nil {
-			errs = append(errs, fmt.Errorf("gupt: session query %d: %w", i, err))
-			continue
-		}
-		spec := core.RangeSpec{Mode: q.Mode, Output: q.OutputRanges}
-		res, err := core.RunMatrix(ctx, q.Program, reg.Private.Matrix(), spec, core.Options{
-			Epsilon:      q.Epsilon,
-			BlockSize:    q.BlockSize,
-			Gamma:        q.Gamma,
-			Seed:         q.Seed,
-			Quantum:      q.Quantum,
-			BlockTimeout: q.BlockTimeout,
-			MaxFailFrac:  q.MaxFailFrac,
-			NewChamber:   q.Chambers,
-		})
-		if err != nil {
-			errs = append(errs, fmt.Errorf("gupt: session query %d (%s): %w", i, q.Program.Name(), err))
-			continue
-		}
-		results[i] = res
-	}
-	// Fill only when every member released cleanly, same stance as
-	// standalone queries: re-serving a partially failed batch would pin its
-	// failures.
-	if cachable && len(errs) == 0 {
-		clean := true
-		for _, r := range results {
-			if r == nil || r.FailedBlocks > 0 {
-				clean = false
-				break
-			}
-		}
-		if clean {
-			stored := make([]Result, len(results))
-			var size int64
-			for i, r := range results {
-				stored[i] = *r
-				size += resultCacheSize(r)
-			}
-			s.platform.cache.Put(fp, s.dataset, stored, size)
+			errs = append(errs, fmt.Errorf("gupt: session query %d (%s): %w", i, s.plan.Members[i].Name, err))
 		}
 	}
-	return results, errors.Join(errs...)
+	return rel.Results, errors.Join(errs...)
 }
